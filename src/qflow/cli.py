@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"qflow: configuration error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or unwritable file
         print(f"qflow: configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalDriftError as exc:

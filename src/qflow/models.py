@@ -250,7 +250,7 @@ class UnitaryModel:
         object.__setattr__(self, "hi", _freeze(self.hi))
         object.__setattr__(self, "env0", _freeze(validate_density_matrix(self.env0)))
         for name, h in (("hs", self.hs), ("he", self.he), ("hi", self.hi)):
-            if np.abs(h - dag(h)).max() > HERMITIAN_TOL:
+            if not np.abs(h - dag(h)).max() <= HERMITIAN_TOL:  # NaN fails
                 raise InvariantViolation(f"{name} is not Hermitian within 1e-10")
         if self.hi.shape != (self.ds * self.env_dim,) * 2:
             raise InvariantViolation("interaction must act on the joint space")
@@ -876,10 +876,25 @@ def sine_modulation(amplitude: float, frequency: float):
 
 
 def model_from_dict(doc: dict) -> BipartiteModel:
+    """Model from a ``qflow-model/1`` document; any malformed document
+    raises :class:`InvariantViolation`."""
+    if not isinstance(doc, dict):
+        raise InvariantViolation("model document must be a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise InvariantViolation(
             f"unsupported model format {doc.get('format')!r}; expected {MODEL_FORMAT}"
         )
+    try:
+        return _model_from_document(doc)
+    except InvariantViolation:
+        raise
+    except KeyError as exc:
+        raise InvariantViolation(f"model document lacks the key {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise InvariantViolation(f"malformed model document: {exc}") from exc
+
+
+def _model_from_document(doc: dict) -> BipartiteModel:
     cls = doc.get("class")
     params = doc.get("parameters", {})
     env = doc.get("initial_env")
@@ -949,4 +964,8 @@ def save_model(model: BipartiteModel, path) -> None:
 
 def load_model(path) -> BipartiteModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InvariantViolation(f"{path} is not a JSON document: {exc}") from exc
+    return model_from_dict(doc)

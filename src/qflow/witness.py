@@ -203,8 +203,11 @@ def trace_distance_series(model, rho0s, sigma0s, env0=None,
     validate_density_matrix(sigma0s)
     state_r = models.initial_state(model, rho0s, env0)
     state_s = models.initial_state(model, sigma0s, env0)
-    series_r = propagate(model, state_r, grid, stepper=stepper)
-    series_s = propagate(model, state_s, grid, stepper=stepper)
+    cache = None
+    if stepper != "rk4" and not models.is_time_dependent(model):
+        cache = PropagatorCache.for_model(model)
+    series_r = propagate(model, state_r, grid, stepper=stepper, cache=cache)
+    series_s = propagate(model, state_s, grid, stepper=stepper, cache=cache)
     nt = grid.times.size
     values = np.empty(nt)
     env_terms = np.empty(nt) if with_bound_terms else None
@@ -237,7 +240,7 @@ def trace_distance_bound(model, rho0s, sigma0s, env0, t: float, tau: float,
     state_s = models.initial_state(model, sigma0s, env0)
     cache = None
     if not models.is_time_dependent(model):
-        cache = PropagatorCache(models.assemble_generator(model))
+        cache = PropagatorCache.for_model(model)
     r_t = propagate_interval(model, state_r, 0.0, t, step, cache)
     s_t = propagate_interval(model, state_s, 0.0, t, step, cache)
     r_tt = propagate_interval(model, r_t, t, t + tau, step, cache)
@@ -262,12 +265,13 @@ def trace_distance_bound(model, rho0s, sigma0s, env0, t: float, tau: float,
 # ---------------------------------------------------------------------------
 
 def _check_tensor(p: np.ndarray) -> np.ndarray:
-    if p.min() < -TENSOR_NEGATIVITY_TOL:
+    # written so that a NaN entry fails both comparisons
+    if not p.min() >= -TENSOR_NEGATIVITY_TOL:
         raise NumericalDriftError(
             f"joint probability {p.min():.2e} below -{TENSOR_NEGATIVITY_TOL:g}"
         )
     total = p.sum()
-    if abs(total - 1.0) > TENSOR_NORM_TOL:
+    if not abs(total - 1.0) <= TENSOR_NORM_TOL:
         raise NumericalDriftError(
             f"joint tensor normalization off by {abs(total-1.0):.2e}"
         )
@@ -286,7 +290,7 @@ def _joint_tensor(model, rho0s, env0, specs, t, tau, scheme,
     elif scheme != "d":
         raise InvariantViolation(f"unknown scheme {scheme!r}")
     if cache is None and not models.is_time_dependent(model):
-        cache = PropagatorCache(models.assemble_generator(model))
+        cache = PropagatorCache.for_model(model)
     p = np.zeros((nz, ny, nx))
     for ix in range(nx):
         ket_x = spec_x.ket(ix)
@@ -395,7 +399,7 @@ def cpf_grid(model, rho0s, env0, specs, ts, taus, scheme: str = "d",
         policy = RandomSchemePolicy.uniform(nx, ny)
     cache = None
     if not models.is_time_dependent(model):
-        cache = PropagatorCache(models.assemble_generator(model))
+        cache = PropagatorCache.for_model(model)
     tensors = np.empty((ts.size, taus.size, nz, ny, nx))
     values = np.full((ny, ts.size, taus.size), np.nan)
     states_x = [models.initial_state(model, projector(spec_x.ket(ix)), env0)
@@ -459,7 +463,7 @@ def cpf_equal_times(model, rho0s, env0, specs, ts, scheme: str = "d",
         policy = RandomSchemePolicy.uniform(nx, ny)
     cache = None
     if not models.is_time_dependent(model):
-        cache = PropagatorCache(models.assemble_generator(model))
+        cache = PropagatorCache.for_model(model)
     tensors = np.empty((ts.size, 1, nz, ny, nx))
     values = np.full((ny, ts.size, 1), np.nan)
     states_x = [models.initial_state(model, projector(spec_x.ket(ix)), env0)

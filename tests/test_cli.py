@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,48 @@ class TestExitCodes:
         text = out.read_text()
         assert "FAIL" not in text
         assert "PASS" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["td", "--step", "0"],
+        ["td", "--step", "nan"],
+        ["td", "--tmax", "nan"],
+        ["cpf", "--tmax", "-1"],
+    ])
+    def test_bad_grid_is_config_error(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qflow: configuration error:")
+
+    def test_unreadable_model_path_is_config_error(self, tmp_path, capsys):
+        assert run(["td", "--model", str(tmp_path)]) == 2  # a directory
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_invalid_json_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"format": "qflow-model/1", ', encoding="utf-8")
+        assert run(["td", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "not a JSON document" in err
+
+    def test_missing_parameter_is_config_error(self, tmp_path, capsys):
+        doc = models.model_to_dict(models.exchange_preset())
+        del doc["parameters"]["h_system"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["td", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "'h_system'" in err
+
+    @pytest.mark.parametrize("command", [["td"], ["cpf"], ["cpf", "--scheme", "r"]])
+    def test_overflowing_rates_are_numeric_breach(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(command + ["--gamma", "1e200", "--phi", "1e200",
+                              "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qflow: numeric invariant breached:")
+        assert not out.exists()  # no row, so no NaN row, was written

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflow import models
+from qflow import evolve, models, witness
 from qflow.evolve import (
     ChannelCoefficients,
     PropagatorCache,
@@ -18,7 +18,14 @@ from qflow.evolve import (
     stationary_populations_vector,
     trace_distance_factor,
 )
-from qflow.models import DepolarizingModel, random_unitary_model, sine_modulation
+from qflow.models import (
+    DepolarizingModel,
+    commuting_interaction_preset,
+    exchange_preset,
+    random_stochastic_env,
+    random_unitary_model,
+    sine_modulation,
+)
 from qflow.qcore import (
     InvariantViolation,
     PAULI_OPS,
@@ -42,6 +49,14 @@ class TestTimeGrid:
         assert default_step(1.0, 4.0) == pytest.approx(0.0025)
         assert default_step(0.2) == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("t_max, step", [
+        (1.0, 0.0), (1.0, -0.1), (1.0, np.nan), (1.0, np.inf),
+        (np.nan, 0.1), (np.inf, 0.1), (-1.0, 0.1),
+    ])
+    def test_regular_rejects_bad_bounds(self, t_max, step):
+        with pytest.raises(InvariantViolation):
+            TimeGrid.regular(t_max, step)
+
 
 class TestPropagatorCache:
     def test_semigroup(self):
@@ -56,6 +71,58 @@ class TestPropagatorCache:
         gen = np.zeros((4, 4))
         cache = PropagatorCache(gen)
         assert cache.at(0.5) is cache.at(0.5)
+
+    @pytest.mark.parametrize("de", [2, 3, 4, 6])
+    def test_unitary_eigh_matches_superoperator_exponential(self, de):
+        rng = np.random.default_rng(100 + de)
+        for m in (random_unitary_model(rng, de=de), exchange_preset(),
+                  commuting_interaction_preset()):
+            cache = PropagatorCache.for_model(m)
+            assert cache.generator is None
+            gen = models.assemble_generator(m)
+            for dt in (0.05, 0.7, 2.0):
+                err = np.abs(cache.at(dt) - matrix_exp(gen * dt)).max()
+                assert err < 1e-12
+
+    def test_other_models_keep_the_generator(self):
+        m = random_stochastic_env(np.random.default_rng(1), nc=3)
+        cache = PropagatorCache.for_model(m)
+        assert np.array_equal(cache.generator, models.assemble_generator(m))
+        assert cache.at(0.3) is cache.at(0.3)
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Count the exponentials the propagator caches compute."""
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape[0])
+        return matrix_exp(m)
+
+    monkeypatch.setattr(evolve, "matrix_exp", counting)
+    return calls
+
+
+class TestExponentialCount:
+    def test_unitary_witnesses_skip_matrix_exp(self, expm_calls):
+        m = exchange_preset()
+        up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        grid = TimeGrid.regular(1.0, 0.25)
+        witness.trace_distance_series(m, up, down, grid=grid,
+                                      with_bound_terms=True)
+        rho0s, specs = witness.reference_measurements()
+        for scheme in ("d", "r"):
+            witness.cpf_grid(m, rho0s, None, specs, grid.times, grid.times,
+                             scheme=scheme)
+        assert expm_calls == []
+
+    def test_trace_distance_series_shares_one_cache(self, expm_calls):
+        m = random_stochastic_env(np.random.default_rng(2), nc=3)
+        up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        witness.trace_distance_series(m, up, down,
+                                      grid=TimeGrid.regular(1.0, 0.25))
+        assert len(expm_calls) == 1  # one gap, shared by both preparations
 
 
 class TestPropagate:
@@ -109,6 +176,28 @@ class TestPropagate:
         rk_series = propagate(m, state, grid, stepper="rk4")
         err = models.bipartite_trace_distance(m, exp_series[-1], rk_series[-1])
         assert err < 1e-8
+
+    @pytest.mark.parametrize("preset", [exchange_preset,
+                                        commuting_interaction_preset])
+    def test_rk4_agrees_with_eigh_on_unitary_models(self, preset):
+        m = preset()
+        rho0 = random_density_matrix(np.random.default_rng(6), 2)
+        state = models.initial_state(m, rho0)
+        grid = TimeGrid(times=np.linspace(0.0, 2.0, 9), step=0.005)
+        exact = propagate(m, state, grid)
+        stepped = propagate(m, state, grid, stepper="rk4")
+        assert np.abs(exact - stepped).max() < 1e-8
+
+    def test_nan_trace_raises(self):
+        from qflow.qcore import NumericalDriftError
+
+        # overflowing rates turn the exponential into NaN, which must not
+        # slip through the drift comparison
+        m = DepolarizingModel(gamma=1e200, phi=1e200)
+        rho0 = random_density_matrix(np.random.default_rng(0), 2)
+        with pytest.raises(NumericalDriftError):
+            propagate(m, models.initial_state(m, rho0),
+                      TimeGrid.regular(0.1, 0.05))
 
     def test_trace_drift_raises(self):
         from qflow.qcore import NumericalDriftError

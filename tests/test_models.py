@@ -320,6 +320,28 @@ class TestModelFiles:
         with pytest.raises(InvariantViolation):
             model_from_dict({"format": "qflow-model/999", "class": "unitary"})
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["parameters"].pop("h_env"),
+        lambda d: d.pop("initial_env"),
+        lambda d: d["parameters"].update(h_system="not a matrix"),
+        lambda d: d["parameters"].update(h_interaction=[[1.0, 2.0]]),
+        lambda d: d.update(parameters=[1, 2]),
+    ])
+    def test_malformed_document_rejected(self, edit):
+        doc = model_to_dict(exchange_preset())
+        edit(doc)
+        with pytest.raises(InvariantViolation):
+            model_from_dict(doc)
+
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(InvariantViolation):
+            models.load_model(path)
+        path.write_text("{", encoding="utf-8")
+        with pytest.raises(InvariantViolation):
+            models.load_model(path)
+
 
 class TestInvariantEnforcement:
     def test_mixture_weights_must_normalize(self):
@@ -339,6 +361,13 @@ class TestInvariantEnforcement:
     def test_unitary_hermitian_required(self):
         with pytest.raises(InvariantViolation):
             UnitaryModel(hs=np.array([[0.0, 1.0], [0.0, 0.0]]),
+                         he=np.zeros((2, 2)),
+                         hi=np.zeros((4, 4)),
+                         env0=np.eye(2) / 2)
+
+    def test_unitary_nan_hamiltonian_rejected(self):
+        with pytest.raises(InvariantViolation):
+            UnitaryModel(hs=np.array([[np.nan, 0.0], [0.0, 0.0]]),
                          he=np.zeros((2, 2)),
                          hi=np.zeros((4, 4)),
                          env0=np.eye(2) / 2)
