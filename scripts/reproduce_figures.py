@@ -2,7 +2,7 @@
 """Regenerate the three reference figure datasets into ./out/.
 
 Equivalent to running the fig1a/fig1b/fig2 subcommands with their default
-grids; pass --jobs to parallelize the parameter columns.
+grids.
 """
 
 import argparse
@@ -15,13 +15,12 @@ from qflow.cli import main as qflow_main
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    common = ["--jobs", str(args.jobs), "--seed", str(args.seed)]
+    common = ["--seed", str(args.seed)]
     for cmd in ("fig1a", "fig1b", "fig2"):
         target = outdir / f"{cmd}.csv"
         code = qflow_main([cmd, "--out", str(target)] + common)

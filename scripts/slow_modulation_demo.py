@@ -31,8 +31,7 @@ def main() -> int:
     args = parser.parse_args()
 
     b = sine_modulation(args.amplitude, args.frequency)
-    model = DepolarizingModel(gamma=1.0, phi=1.0, modulation=b,
-                              modulation_bound=args.amplitude * args.frequency)
+    model = DepolarizingModel(gamma=1.0, phi=1.0, modulation=b)
     period = 2 * np.pi / args.frequency
     grid = TimeGrid(times=np.arange(0.0, period + 1e-9, 2.0), step=0.02)
 

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,14 +57,21 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _write_csv(out_path, meta: dict, header: list, rows) -> None:
+def _write_csv(args, header: list, rows, **extra) -> None:
+    """CSV whose ``#`` line echoes the command, ``extra``, the grid and the
+    seed."""
+    meta = {"command": args.command, **extra, "tmax": args.tmax,
+            "step": args.step, "seed": args.seed}
     buf = io.StringIO()
     echo = " ".join(f"{k}={v}" for k, v in meta.items())
     buf.write(f"# qflow {__version__} {echo}\n")
     buf.write(",".join(header) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(x) for x in row) + "\n")
-    data = buf.getvalue()
+    _write_text(args.out, buf.getvalue())
+
+
+def _write_text(out_path, data: str) -> None:
     if out_path in (None, "-"):
         sys.stdout.write(data)
     else:
@@ -82,32 +87,6 @@ def _float_list(text: str):
     if not values:
         raise argparse.ArgumentTypeError("empty list")
     return values
-
-
-def _jobs_from(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("QFLOW_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvariantViolation(f"QFLOW_JOBS={env!r} is not an integer")
-    return 1
-
-
-def _map_ordered(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _meta(args, command: str, **extra) -> dict:
-    meta = {"command": command}
-    meta.update(extra)
-    meta["seed"] = args.seed
-    return meta
 
 
 def _resolve_model(args):
@@ -157,11 +136,10 @@ def cmd_fig1a(args) -> int:
             )
         return d_analytic
 
-    cols = _map_ordered(column, ratios, _jobs_from(args))
+    cols = [column(ratio) for ratio in ratios]
     header = ["t"] + [f"d(phi_over_gamma={r:g})" for r in ratios]
     rows = zip(grid.times, *cols)
-    _write_csv(args.out, _meta(args, "fig1a", phi_over_gamma=args_list(ratios),
-                               tmax=args.tmax, step=args.step), header, rows)
+    _write_csv(args, header, rows, phi_over_gamma=args_list(ratios))
     return 0
 
 
@@ -179,11 +157,10 @@ def cmd_fig1b(args) -> int:
         res = cpf_equal_times(model, rho0s, None, specs, grid.times, scheme="d")
         return res.values[0, :, 0]
 
-    cols = _map_ordered(column, ratios, _jobs_from(args))
+    cols = [column(ratio) for ratio in ratios]
     header = ["t"] + [f"cpf(phi_over_gamma={r:g})" for r in ratios]
     rows = zip(grid.times, *cols)
-    _write_csv(args.out, _meta(args, "fig1b", phi_over_gamma=args_list(ratios),
-                               tmax=args.tmax, step=args.step), header, rows)
+    _write_csv(args, header, rows, phi_over_gamma=args_list(ratios))
     return 0
 
 
@@ -207,15 +184,14 @@ def cmd_fig2(args) -> int:
         revival[:-1] = np.diff(d) > REVIVAL_TOL
         return d, revival
 
-    results = _map_ordered(column, ratios, _jobs_from(args))
+    results = [column(ratio) for ratio in ratios]
     header = ["t"]
     cols = []
     for r, (d, rev) in zip(ratios, results):
         header += [f"d(omega_over_gamma={r:g})", f"revival(omega_over_gamma={r:g})"]
         cols += [d, rev]
     rows = zip(grid.times, *cols)
-    _write_csv(args.out, _meta(args, "fig2", omega_over_gamma=args_list(ratios),
-                               tmax=args.tmax, step=args.step), header, rows)
+    _write_csv(args, header, rows, omega_over_gamma=args_list(ratios))
     return 0
 
 
@@ -230,8 +206,7 @@ def cmd_td(args) -> int:
     trace = trace_distance_series(model, up, down, grid=grid)
     header = ["t", "trace_distance", "revival"]
     rows = zip(trace.times, trace.values, trace.revivals)
-    _write_csv(args.out, _meta(args, "td", model=args.model or "depolarizing",
-                               tmax=args.tmax, step=args.step), header, rows)
+    _write_csv(args, header, rows, model=args.model or "depolarizing")
     return 0
 
 
@@ -254,8 +229,7 @@ def cmd_bound(args) -> int:
             inc, slack = np.nan, np.nan
         rows.append((trace.times[i], trace.values[i], trace.env_terms[i],
                      trace.corr_rho[i], trace.corr_sigma[i], inc, slack))
-    _write_csv(args.out, _meta(args, "bound", model=args.model or "depolarizing",
-                               tmax=args.tmax, step=args.step), header, rows)
+    _write_csv(args, header, rows, model=args.model or "depolarizing")
     return 0
 
 
@@ -273,21 +247,16 @@ def cmd_cpf(args) -> int:
     for it, t in enumerate(res.ts):
         for itau, tau in enumerate(res.taus):
             rows.append((t, tau, *res.values[:, it, itau]))
-    _write_csv(args.out, _meta(args, "cpf", model=args.model or "depolarizing",
-                               scheme=args.scheme, tmax=args.tmax,
-                               step=args.step), header, rows)
+    _write_csv(args, header, rows, model=args.model or "depolarizing",
+               scheme=args.scheme)
     return 0
 
 
 def cmd_check_bystander(args) -> int:
     model = _resolve_model(args)
     verdict, residual = models.check_bystander(model)
-    text = f"bystander={'true' if verdict else 'false'} residual={residual:.3e}\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(args.out, f"bystander={'true' if verdict else 'false'} "
+                          f"residual={residual:.3e}\n")
     return 0
 
 
@@ -362,12 +331,7 @@ def cmd_validate(args) -> int:
     for name, ok, detail in checks:
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += not ok
-    text = "\n".join(lines) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 1 if failures else 0
 
 
@@ -387,7 +351,7 @@ def _add_common(p: argparse.ArgumentParser, tmax: float, step: float) -> None:
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads (QFLOW_JOBS fallback; default 1)")
+                   help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

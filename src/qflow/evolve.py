@@ -204,9 +204,15 @@ def depolarizing_weight(gamma: float, phi: float, t):
     _require_rates(gamma, phi)
     t = np.asarray(t, dtype=float)
     gp = gamma + phi
-    out = ((gamma ** 2 + 3 * phi ** 2) / (3 * gp ** 2)
-           + (4 * gamma * phi) / (3 * gp ** 2) * np.exp(-gp * t)
-           + (2 * gamma) / (3 * gp) * np.exp(-phi * t))
+    try:
+        out = ((gamma ** 2 + 3 * phi ** 2) / (3 * gp ** 2)
+               + (4 * gamma * phi) / (3 * gp ** 2) * np.exp(-gp * t)
+               + (2 * gamma) / (3 * gp) * np.exp(-phi * t))
+    except OverflowError:  # a Python float squared past the float range
+        out = np.nan
+    if not np.isfinite(out).all():
+        raise NumericalDriftError(
+            f"channel weight is not finite at gamma={gamma:g}, phi={phi:g}")
     return out if out.ndim else float(out)
 
 
@@ -396,17 +402,11 @@ def coherent_weight_series(gamma: float, phi: float, omega: float,
     _require_rates(gamma, phi)
     if omega < 0:
         raise InvariantViolation("drive frequency must be non-negative")
-    b_ops = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
-    for k in range(3):
-        b_ops[k][k, 3] = 1.0
-    he = np.zeros((4, 4), dtype=complex)
-    for k in range(3):
-        he[k, 3] += omega / 2.0
-        he[3, k] += omega / 2.0
+    he, lowering = models.depolarizing_env_operators(omega)
     jumps = []
-    for k in range(3):
-        jumps.append((b_ops[k], gamma / 3.0))
-        jumps.append((b_ops[k].conj().T, phi))
+    for b in lowering:
+        jumps.append((b, gamma / 3.0))
+        jumps.append((b.conj().T, phi))
     gen = lindblad_superoperator(he, jumps)
     cache = PropagatorCache(gen)
     env = np.zeros((4, 4), dtype=complex)
@@ -420,4 +420,7 @@ def coherent_weight_series(gamma: float, phi: float, omega: float,
             v = cache.at(t - prev_t) @ v
             prev_t = t
         out[i] = unvec(v, 4)[3, 3].real
+    if not np.isfinite(out).all():
+        raise NumericalDriftError(
+            f"level-4 population is not finite at omega={omega:g}")
     return out

@@ -284,7 +284,6 @@ class DepolarizingModel:
     populations0: np.ndarray = None
     omega: float = 0.0
     modulation: Optional[Callable[[float], float]] = None
-    modulation_bound: Optional[float] = None
 
     def __post_init__(self):
         if self.gamma <= 0 or self.phi <= 0:
@@ -343,13 +342,6 @@ def dims(model: BipartiteModel) -> tuple[int, int]:
     return model.ds, model.env_dim
 
 
-def generator_dim(model: BipartiteModel) -> int:
-    ds, de = dims(model)
-    if uses_stacked(model):
-        return ds * ds * de
-    return (ds * de) ** 2
-
-
 def _depolarizing_stacked_parts(ds_gamma: float = 1.0):
     """Stacked generators for unit gamma and unit phi, to combine affinely."""
     eye4 = np.eye(4)
@@ -368,18 +360,24 @@ def _depolarizing_stacked_parts(ds_gamma: float = 1.0):
 _DEPOL_GAMMA_PART, _DEPOL_PHI_PART = _depolarizing_stacked_parts()
 
 
-def _depolarizing_full_generator(gamma: float, phi: float, omega: float) -> np.ndarray:
-    b_ops = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
-    for k in range(3):
-        b_ops[k][k, 3] = 1.0
+def depolarizing_env_operators(omega: float):
+    """Drive ``(omega/2)(|k><4| + h.c.)`` and lowering operators ``|k><4|``
+    (k = 1, 2, 3) of the four-level depolarizing environment."""
+    lowering = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
     he = np.zeros((4, 4), dtype=complex)
     for k in range(3):
+        lowering[k][k, 3] = 1.0
         he[k, 3] += omega / 2.0
         he[3, k] += omega / 2.0
+    return he, lowering
+
+
+def _depolarizing_full_generator(gamma: float, phi: float, omega: float) -> np.ndarray:
+    he, lowering = depolarizing_env_operators(omega)
     jumps = []
-    for k in range(3):
-        jumps.append((kron(PAULI_OPS[k], b_ops[k]), gamma / 3.0))
-        jumps.append((kron(PAULI_OPS[k], dag(b_ops[k])), phi))
+    for k, b in enumerate(lowering):
+        jumps.append((kron(PAULI_OPS[k], b), gamma / 3.0))
+        jumps.append((kron(PAULI_OPS[k], dag(b)), phi))
     return lindblad_superoperator(kron(np.eye(2), he), jumps)
 
 
@@ -871,7 +869,6 @@ def sine_modulation(amplitude: float, frequency: float):
         return amplitude * np.sin(frequency * t)
 
     b.json_spec = {"type": "sine", "amplitude": amplitude, "frequency": frequency}
-    b.rate_bound = amplitude * frequency
     return b
 
 
@@ -935,7 +932,6 @@ def _model_from_document(doc: dict) -> BipartiteModel:
         )
     if cls == "depolarizing":
         modulation = None
-        bound = None
         mod_spec = params.get("modulation")
         if mod_spec is not None:
             if mod_spec.get("type") != "sine":
@@ -944,14 +940,12 @@ def _model_from_document(doc: dict) -> BipartiteModel:
                 )
             modulation = sine_modulation(float(mod_spec["amplitude"]),
                                          float(mod_spec["frequency"]))
-            bound = modulation.rate_bound
         return DepolarizingModel(
             gamma=float(params["gamma"]),
             phi=float(params["phi"]),
             populations0=np.asarray(env, dtype=float),
             omega=float(params.get("omega", 0.0)),
             modulation=modulation,
-            modulation_bound=bound,
         )
     raise InvariantViolation(f"unknown model class {cls!r}")
 

@@ -13,6 +13,11 @@ measurement is kept; in the random scheme the intermediate system state is
 resampled from a stochastic policy and the environment is left
 unconditioned.  A nonzero random-scheme correlation certifies that the
 environment actually responds to the system.
+
+One engine, ``_cpf_tensors``, computes the joint tensors
+P[z, y, x] = <Pi_z| Phi_tau R_y Phi_t |Pi_x (x) rho_E> for any set of
+(t, tau) pairs; the single-point, product-grid and equal-time functions are
+thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -278,51 +283,82 @@ def _check_tensor(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _joint_tensor(model, rho0s, env0, specs, t, tau, scheme,
-                  policy=None, step=None, cache=None):
+def _cpf_tensors(model, rho0s, env0, specs, ts, taus_per_t, scheme, policy,
+                 step) -> np.ndarray:
+    """Joint tensors P[z, y, x] at every (t, tau) pair, shape
+    (nt, ntau, nz, ny, nx); row ``it`` of ``taus_per_t`` holds the taus of
+    ``ts[it]``.
+
+    The nx conditioned past states are carried from one t to the next and
+    the nx * ny relays from one tau to the next, so each propagation spans
+    one gap of the grid.  Each readout is weighted by the policy (random
+    scheme) or by one (deterministic scheme).
+    """
+    validate_density_matrix(rho0s)
     spec_x, spec_y, spec_z = specs
     nx, ny, nz = spec_x.n_outcomes, spec_y.n_outcomes, spec_z.n_outcomes
-    if scheme == "r":
+    if scheme == "d":
+        weights = np.ones((nx, ny))
+    elif scheme == "r":
         if policy is None:
             policy = RandomSchemePolicy.uniform(nx, ny)
         if policy.matrix.shape != (nx, ny):
             raise InvariantViolation("policy shape does not match the specs")
-    elif scheme != "d":
+        weights = policy.matrix
+    else:
         raise InvariantViolation(f"unknown scheme {scheme!r}")
-    if cache is None and not models.is_time_dependent(model):
+    ts = np.asarray(ts, dtype=float)
+    taus_per_t = np.asarray(taus_per_t, dtype=float)
+    # written so that NaN fails the check
+    if not (np.all(ts >= 0) and np.all(taus_per_t >= 0)):
+        raise InvariantViolation("times t and tau must be non-negative")
+    cache = None
+    if not models.is_time_dependent(model):
         cache = PropagatorCache.for_model(model)
-    p = np.zeros((nz, ny, nx))
-    for ix in range(nx):
-        ket_x = spec_x.ket(ix)
-        px = float((ket_x.conj() @ rho0s @ ket_x).real)
-        state0 = models.initial_state(model, projector(ket_x), env0)
-        state_t = propagate_interval(model, state0, 0.0, t, step, cache)
-        env_free = None
-        if scheme == "r":
-            env_free = models.env_marginal(model, state_t)
-        for iy in range(ny):
-            ket_y = spec_y.ket(iy)
-            if scheme == "d":
-                env_mid = models.env_after_projection(model, state_t, ket_y)
-            else:
-                env_mid = env_free
-            relay = models.product_with_env(model, projector(ket_y), env_mid)
-            state_tt = propagate_interval(model, relay, t, t + tau, step, cache)
-            for iz in range(nz):
-                val = models.expect_system_projector(model, state_tt,
-                                                     spec_z.ket(iz))
-                if scheme == "r":
-                    val *= policy.matrix[ix, iy]
-                p[iz, iy, ix] = px * val
-    return _check_tensor(p)
+    tensors = np.empty((ts.size, taus_per_t.shape[1], nz, ny, nx))
+    kets_x = [spec_x.ket(ix) for ix in range(nx)]
+    pxs = [float((ket.conj() @ rho0s @ ket).real) for ket in kets_x]
+    states_x = [models.initial_state(model, projector(ket), env0)
+                for ket in kets_x]
+    prev_t = 0.0
+    for it, t in enumerate(ts):
+        states_x = [propagate_interval(model, s, prev_t, t, step, cache)
+                    for s in states_x]
+        prev_t = t
+        relays = {}
+        for ix, state_t in enumerate(states_x):
+            if scheme == "r":
+                env_free = models.env_marginal(model, state_t)
+            for iy in range(ny):
+                ket_y = spec_y.ket(iy)
+                env_mid = (env_free if scheme == "r" else
+                           models.env_after_projection(model, state_t, ket_y))
+                relays[ix, iy] = models.product_with_env(
+                    model, projector(ket_y), env_mid)
+        prev_tau = 0.0
+        for itau, tau in enumerate(taus_per_t[it]):
+            relays = {
+                key: propagate_interval(model, s, t + prev_tau, t + tau,
+                                        step, cache)
+                for key, s in relays.items()
+            }
+            prev_tau = tau
+            p = np.zeros((nz, ny, nx))
+            for (ix, iy), state_tt in relays.items():
+                for iz in range(nz):
+                    val = models.expect_system_projector(model, state_tt,
+                                                         spec_z.ket(iz))
+                    p[iz, iy, ix] = pxs[ix] * (val * weights[ix, iy])
+            tensors[it, itau] = _check_tensor(p)
+    return tensors
 
 
 def cpf_joint_deterministic(model, rho0s, env0, specs, t: float, tau: float,
                             step: Optional[float] = None) -> np.ndarray:
     """Joint outcome tensor P[z, y, x]; the intermediate measurement
     conditions both the system and the environment."""
-    validate_density_matrix(rho0s)
-    return _joint_tensor(model, rho0s, env0, specs, t, tau, "d", step=step)
+    return _cpf_tensors(model, rho0s, env0, specs, [t], [[tau]], "d",
+                        None, step)[0, 0]
 
 
 def cpf_joint_random(model, rho0s, env0, specs,
@@ -331,9 +367,8 @@ def cpf_joint_random(model, rho0s, env0, specs,
                      step: Optional[float] = None) -> np.ndarray:
     """Joint outcome tensor of the resampling scheme; the intermediate
     environment state is left unconditioned on the measured outcome."""
-    validate_density_matrix(rho0s)
-    return _joint_tensor(model, rho0s, env0, specs, t, tau, "r",
-                         policy=policy, step=step)
+    return _cpf_tensors(model, rho0s, env0, specs, [t], [[tau]], "r",
+                        policy, step)[0, 0]
 
 
 def cpf_correlation(tensor: np.ndarray, specs) -> np.ndarray:
@@ -384,66 +419,28 @@ def _check_increasing(values: np.ndarray, label: str) -> None:
         raise InvariantViolation(f"{label} must increase strictly")
 
 
+def _cpf_result(ts, taus, scheme, tensors, specs) -> CpfResult:
+    nt, ntau, _, ny, _ = tensors.shape
+    values = np.full((ny, nt, ntau), np.nan)
+    for it in range(nt):
+        for itau in range(ntau):
+            values[:, it, itau] = cpf_correlation(tensors[it, itau], specs)
+    return CpfResult(ts=ts, taus=taus, scheme=scheme, values=values,
+                     tensors=tensors)
+
+
 def cpf_grid(model, rho0s, env0, specs, ts, taus, scheme: str = "d",
              policy: Optional[RandomSchemePolicy] = None,
              step: Optional[float] = None) -> CpfResult:
     """Past-future correlations over the product grid of ts and taus."""
-    validate_density_matrix(rho0s)
     ts = np.asarray(ts, dtype=float)
     taus = np.asarray(taus, dtype=float)
     _check_increasing(ts, "ts")
     _check_increasing(taus, "taus")
-    spec_x, spec_y, spec_z = specs
-    nx, ny, nz = spec_x.n_outcomes, spec_y.n_outcomes, spec_z.n_outcomes
-    if scheme == "r" and policy is None:
-        policy = RandomSchemePolicy.uniform(nx, ny)
-    cache = None
-    if not models.is_time_dependent(model):
-        cache = PropagatorCache.for_model(model)
-    tensors = np.empty((ts.size, taus.size, nz, ny, nx))
-    values = np.full((ny, ts.size, taus.size), np.nan)
-    states_x = [models.initial_state(model, projector(spec_x.ket(ix)), env0)
-                for ix in range(nx)]
-    pxs = [float((spec_x.ket(ix).conj() @ rho0s @ spec_x.ket(ix)).real)
-           for ix in range(nx)]
-    prev_t = 0.0
-    for it, t in enumerate(ts):
-        states_x = [propagate_interval(model, s, prev_t, t, step, cache)
-                    for s in states_x]
-        prev_t = t
-        relays = {}
-        for ix in range(nx):
-            env_free = None
-            if scheme == "r":
-                env_free = models.env_marginal(model, states_x[ix])
-            for iy in range(ny):
-                ket_y = spec_y.ket(iy)
-                if scheme == "d":
-                    env_mid = models.env_after_projection(model, states_x[ix], ket_y)
-                else:
-                    env_mid = env_free
-                relays[ix, iy] = models.product_with_env(
-                    model, projector(ket_y), env_mid)
-        prev_tau = 0.0
-        for itau, tau in enumerate(taus):
-            relays = {
-                key: propagate_interval(model, s, t + prev_tau, t + tau,
-                                        step, cache)
-                for key, s in relays.items()
-            }
-            prev_tau = tau
-            p = np.zeros((nz, ny, nx))
-            for (ix, iy), state_tt in relays.items():
-                for iz in range(nz):
-                    val = models.expect_system_projector(model, state_tt,
-                                                         spec_z.ket(iz))
-                    if scheme == "r":
-                        val *= policy.matrix[ix, iy]
-                    p[iz, iy, ix] = pxs[ix] * val
-            tensors[it, itau] = _check_tensor(p)
-            values[:, it, itau] = cpf_correlation(p, specs)
-    return CpfResult(ts=ts, taus=taus, scheme=scheme, values=values,
-                     tensors=tensors)
+    tensors = _cpf_tensors(model, rho0s, env0, specs, ts,
+                           np.broadcast_to(taus, (ts.size, taus.size)),
+                           scheme, policy, step)
+    return _cpf_result(ts, taus, scheme, tensors, specs)
 
 
 def cpf_equal_times(model, rho0s, env0, specs, ts, scheme: str = "d",
@@ -456,45 +453,6 @@ def cpf_equal_times(model, rho0s, env0, specs, ts, scheme: str = "d",
         gaps = np.diff(ts)
         if np.abs(gaps - gaps[0]).max() > 1e-9:
             raise InvariantViolation("equal-times evaluation needs a uniform grid")
-    validate_density_matrix(rho0s)
-    spec_x, spec_y, spec_z = specs
-    nx, ny, nz = spec_x.n_outcomes, spec_y.n_outcomes, spec_z.n_outcomes
-    if scheme == "r" and policy is None:
-        policy = RandomSchemePolicy.uniform(nx, ny)
-    cache = None
-    if not models.is_time_dependent(model):
-        cache = PropagatorCache.for_model(model)
-    tensors = np.empty((ts.size, 1, nz, ny, nx))
-    values = np.full((ny, ts.size, 1), np.nan)
-    states_x = [models.initial_state(model, projector(spec_x.ket(ix)), env0)
-                for ix in range(nx)]
-    pxs = [float((spec_x.ket(ix).conj() @ rho0s @ spec_x.ket(ix)).real)
-           for ix in range(nx)]
-    prev_t = 0.0
-    for it, t in enumerate(ts):
-        states_x = [propagate_interval(model, s, prev_t, t, step, cache)
-                    for s in states_x]
-        prev_t = t
-        p = np.zeros((nz, ny, nx))
-        for ix in range(nx):
-            env_free = None
-            if scheme == "r":
-                env_free = models.env_marginal(model, states_x[ix])
-            for iy in range(ny):
-                ket_y = spec_y.ket(iy)
-                if scheme == "d":
-                    env_mid = models.env_after_projection(model, states_x[ix], ket_y)
-                else:
-                    env_mid = env_free
-                relay = models.product_with_env(model, projector(ket_y), env_mid)
-                state_tt = propagate_interval(model, relay, t, 2.0 * t, step, cache)
-                for iz in range(nz):
-                    val = models.expect_system_projector(model, state_tt,
-                                                         spec_z.ket(iz))
-                    if scheme == "r":
-                        val *= policy.matrix[ix, iy]
-                    p[iz, iy, ix] = pxs[ix] * val
-        tensors[it, 0] = _check_tensor(p)
-        values[:, it, 0] = cpf_correlation(p, specs)
-    return CpfResult(ts=ts, taus=np.array(ts), scheme=scheme, values=values,
-                     tensors=tensors)
+    tensors = _cpf_tensors(model, rho0s, env0, specs, ts, ts[:, None],
+                           scheme, policy, step)
+    return _cpf_result(ts, np.array(ts), scheme, tensors, specs)

@@ -286,8 +286,7 @@ def test_criterion_8_coherent_revivals():
 def test_criterion_9_slow_modulation():
     t0 = time.time()
     b = sine_modulation(0.5, 0.01)
-    m = DepolarizingModel(gamma=1.0, phi=1.0, modulation=b,
-                          modulation_bound=0.005)
+    m = DepolarizingModel(gamma=1.0, phi=1.0, modulation=b)
     period = 2 * np.pi / 0.01
     sample = TimeGrid(times=np.arange(0.0, period + 5.0, 1.0), step=0.02)
     up = np.diag([1.0, 0.0]).astype(complex)

@@ -189,3 +189,16 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("qflow: numeric invariant breached:")
         assert not out.exists()  # no row, so no NaN row, was written
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1a", "--phi-over-gamma", "1e200"],
+        ["fig2", "--omega-over-gamma", "1e200"],
+    ])
+    def test_overflowing_figure_ratios_are_numeric_breach(self, argv, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--tmax", "1", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qflow: numeric invariant breached:")
+        assert not out.exists()

@@ -325,8 +325,7 @@ class TestAdiabaticWeight:
         # slow drive: long-time weight is the overlap of frozen initial
         # populations with the instantaneous stationary ones
         b = sine_modulation(0.4, 0.01)
-        m = DepolarizingModel(gamma=1.0, phi=1.0, modulation=b,
-                              modulation_bound=0.004)
+        m = DepolarizingModel(gamma=1.0, phi=1.0, modulation=b)
         grid = TimeGrid(times=np.arange(0.0, 120.0 + 1e-9, 40.0), step=0.005)
         coeffs = solve_channel_coefficients(1.0, 1.0, m.populations0, grid,
                                             modulation=b)

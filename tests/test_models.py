@@ -299,8 +299,7 @@ class TestModelFiles:
             random_quantum_bystander(rng, de=2),
             random_unitary_model(rng),
             DepolarizingModel(gamma=1.2, phi=0.8, omega=0.5,
-                              modulation=sine_modulation(0.4, 0.01),
-                              modulation_bound=0.004),
+                              modulation=sine_modulation(0.4, 0.01)),
         ]
         for m in instances:
             m2 = model_from_dict(model_to_dict(m))

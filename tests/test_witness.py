@@ -282,6 +282,44 @@ class TestMarkovGap:
         assert markov_factorization_gap(p) < 1e-10
 
 
+# Every CPF entry point goes through one validation: an unknown scheme, a
+# policy whose shape is not (nx, ny) and a negative or NaN time are
+# configuration errors, raised before any propagation.
+_POL33 = RandomSchemePolicy.uniform(3, 3)
+_POL23 = RandomSchemePolicy.uniform(2, 3)
+BAD_CPF_CALLS = [pytest.param(call, id=name) for name, call in (
+    ("grid-scheme", lambda m, r, s: cpf_grid(m, r, None, s, [0.5], [0.4], "x")),
+    ("equal-scheme", lambda m, r, s: cpf_equal_times(m, r, None, s, [0.5], "x")),
+    ("grid-policy-3x3", lambda m, r, s: cpf_grid(m, r, None, s, [0.5], [0.4],
+                                                 "r", _POL33)),
+    ("grid-policy-2x3", lambda m, r, s: cpf_grid(m, r, None, s, [0.5], [0.4],
+                                                 "r", _POL23)),
+    ("equal-policy-3x3", lambda m, r, s: cpf_equal_times(m, r, None, s, [0.5],
+                                                         "r", _POL33)),
+    ("equal-policy-2x3", lambda m, r, s: cpf_equal_times(m, r, None, s, [0.5],
+                                                         "r", _POL23)),
+    ("random-policy-3x3", lambda m, r, s: cpf_joint_random(m, r, None, s, _POL33,
+                                                           0.5, 0.5)),
+    ("random-policy-2x3", lambda m, r, s: cpf_joint_random(m, r, None, s, _POL23,
+                                                           0.5, 0.5)),
+    ("grid-negative-t", lambda m, r, s: cpf_grid(m, r, None, s, [-0.5, 0.5], [0.4])),
+    ("grid-negative-tau", lambda m, r, s: cpf_grid(m, r, None, s, [0.5], [-0.4, 0.4])),
+    ("grid-nan-t", lambda m, r, s: cpf_grid(m, r, None, s, [np.nan], [0.4])),
+    ("equal-negative-t", lambda m, r, s: cpf_equal_times(m, r, None, s,
+                                                         [-0.5, 0.0, 0.5])),
+    ("deterministic-negative-t", lambda m, r, s: cpf_joint_deterministic(
+        m, r, None, s, -0.5, 0.5)),
+    ("deterministic-negative-tau", lambda m, r, s: cpf_joint_deterministic(
+        m, r, None, s, 0.5, -0.5)),
+    ("deterministic-nan-tau", lambda m, r, s: cpf_joint_deterministic(
+        m, r, None, s, 0.5, np.nan)),
+    ("random-negative-t", lambda m, r, s: cpf_joint_random(m, r, None, s, None,
+                                                           -0.5, 0.5)),
+    ("random-negative-tau", lambda m, r, s: cpf_joint_random(m, r, None, s, None,
+                                                             0.5, -0.5)),
+)]
+
+
 class TestGridEvaluators:
     def test_grid_matches_single_point(self):
         m = DepolarizingModel(gamma=1.0, phi=0.5)
@@ -310,6 +348,13 @@ class TestGridEvaluators:
             cpf_grid(m, rho0s, None, specs, [1.0, 0.5], [0.4], "d")
         with pytest.raises(InvariantViolation):
             cpf_equal_times(m, rho0s, None, specs, [1.0, 0.5])
+
+    @pytest.mark.parametrize("call", BAD_CPF_CALLS)
+    def test_every_entry_point_rejects_bad_configuration(self, call):
+        m = DepolarizingModel(gamma=1.0, phi=1.0)
+        rho0s, specs = reference_measurements()
+        with pytest.raises(InvariantViolation):
+            call(m, rho0s, specs)
 
     def test_modulated_model_uses_anchored_propagation(self):
         b = models.sine_modulation(0.3, 0.2)  # fast enough to matter
