@@ -90,10 +90,16 @@ def _float_list(text: str):
 
 
 def _resolve_model(args):
-    if getattr(args, "model", None):
+    if args.model:
         return models.load_model(args.model)
     return models.DepolarizingModel(gamma=args.gamma, phi=args.phi,
                                     omega=args.omega)
+
+
+def _balanced_cpf(t, tau):
+    """Closed-form deterministic CPF at gamma = phi = 1."""
+    et, eu = np.exp(-t), np.exp(-tau)
+    return (4.0 / 81.0) * (1 - et) * (1 - eu) * (2 + et + eu + 5 * et * eu)
 
 
 def _preset_pair(ds: int):
@@ -155,7 +161,13 @@ def cmd_fig1b(args) -> int:
     def column(ratio):
         model = models.DepolarizingModel(gamma=1.0, phi=ratio)
         res = cpf_equal_times(model, rho0s, None, specs, grid.times, scheme="d")
-        return res.values[0, :, 0]
+        cpf = res.values[0, :, 0]
+        if ratio == 1.0:
+            err = np.abs(cpf - _balanced_cpf(grid.times, grid.times)).max()
+            if not err <= 1e-8:  # NaN fails
+                raise NumericalDriftError(f"phi/gamma=1 column deviates from "
+                                          f"the closed form by {err:.2e}")
+        return cpf
 
     cols = [column(ratio) for ratio in ratios]
     header = ["t"] + [f"cpf(phi_over_gamma={r:g})" for r in ratios]
@@ -281,10 +293,7 @@ def _validate_checks(seed: int):
     rho0s, specs = reference_measurements()
     for t, tau in ((0.5, 0.5), (1.0, 1.0), (2.0, 1.0)):
         p = cpf_joint_deterministic(model, rho0s, None, specs, t, tau)
-        got = cpf_correlation(p, specs)
-        et, eu = np.exp(-t), np.exp(-tau)
-        want = (4.0 / 81.0) * (1 - et) * (1 - eu) * (2 + et + eu + 5 * et * eu)
-        err = np.abs(got - want).max()
+        err = np.abs(cpf_correlation(p, specs) - _balanced_cpf(t, tau)).max()
         checks.append((f"cpf closed form t={t:g} tau={tau:g}", err < 1e-6,
                        f"max err {err:.2e}"))
 
@@ -339,19 +348,31 @@ def cmd_validate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, tmax: float, step: float) -> None:
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="base decay rate (time unit anchor)")
-    p.add_argument("--phi", type=float, default=1.0, help="return rate")
-    p.add_argument("--omega", type=float, default=0.0,
-                   help="coherent drive frequency")
-    p.add_argument("--tmax", type=float, default=tmax)
-    p.add_argument("--step", type=float, default=step)
-    p.add_argument("--model", default=None, help="model definition JSON file")
+def _subcommand(sub, name: str, func, help: str, grid=None,
+                model: bool = False) -> argparse.ArgumentParser:
+    """Subparser accepting only the flags ``func`` reads: ``--out`` and the
+    ``--jobs`` no-op; the model flags when ``model``; ``--tmax``, ``--step``
+    and ``--seed``, all echoed by the CSV ``#`` line, when a ``(tmax, step)``
+    default ``grid`` is given."""
+    # no prefix matching: "fig2 --omega" must not mean --omega-over-gamma
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.set_defaults(func=func)
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--jobs", type=int, default=None,
                    help="accepted for compatibility; has no effect")
+    if model:
+        p.add_argument("--gamma", type=float, default=1.0,
+                       help="base decay rate (time unit anchor)")
+        p.add_argument("--phi", type=float, default=1.0, help="return rate")
+        p.add_argument("--omega", type=float, default=0.0,
+                       help="coherent drive frequency")
+        p.add_argument("--model", default=None,
+                       help="model definition JSON file")
+    if grid is not None:
+        p.add_argument("--tmax", type=float, default=grid[0])
+        p.add_argument("--step", type=float, default=grid[1])
+        p.add_argument("--seed", type=int, default=42)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,46 +384,34 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"qflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig1a", help="trace-distance decay factor dataset")
-    _add_common(p, tmax=6.0, step=0.01)
-    p.add_argument("--phi-over-gamma", type=_float_list, default=[0.25, 1.0, 4.0])
-    p.set_defaults(func=cmd_fig1a)
+    for name, func, help in (
+            ("fig1a", cmd_fig1a, "trace-distance decay factor dataset"),
+            ("fig1b", cmd_fig1b, "equal-time past-future correlation dataset")):
+        p = _subcommand(sub, name, func, help, grid=(6.0, 0.01))
+        p.add_argument("--phi-over-gamma", type=_float_list,
+                       default=[0.25, 1.0, 4.0])
 
-    p = sub.add_parser("fig1b", help="equal-time past-future correlation dataset")
-    _add_common(p, tmax=6.0, step=0.01)
-    p.add_argument("--phi-over-gamma", type=_float_list, default=[0.25, 1.0, 4.0])
-    p.set_defaults(func=cmd_fig1b)
-
-    p = sub.add_parser("fig2", help="driven-environment population factor "
-                                    "|4 p4 - 1|/3 dataset")
-    _add_common(p, tmax=10.0, step=0.005)
+    p = _subcommand(sub, "fig2", cmd_fig2, "driven-environment population "
+                    "factor |4 p4 - 1|/3 dataset", grid=(10.0, 0.005))
     p.add_argument("--omega-over-gamma", type=_float_list,
                    default=[0.0, 0.5, 1.0, 2.0, 5.0])
-    p.set_defaults(func=cmd_fig2)
 
-    p = sub.add_parser("td", help="trace-distance series for a model")
-    _add_common(p, tmax=6.0, step=0.01)
-    p.set_defaults(func=cmd_td)
-
-    p = sub.add_parser("bound", help="revival bound terms along a grid")
-    _add_common(p, tmax=4.0, step=0.05)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("cpf", help="past-future correlations on a (t, tau) grid")
-    _add_common(p, tmax=5.0, step=0.25)
+    _subcommand(sub, "td", cmd_td, "trace-distance series for a model",
+                grid=(6.0, 0.01), model=True)
+    _subcommand(sub, "bound", cmd_bound, "revival bound terms along a grid",
+                grid=(4.0, 0.05), model=True)
+    p = _subcommand(sub, "cpf", cmd_cpf,
+                    "past-future correlations on a (t, tau) grid",
+                    grid=(5.0, 0.25), model=True)
     p.add_argument("--scheme", choices=("d", "r"), default="d")
     p.add_argument("--skip-zero", action="store_true",
                    help="drop t=0 from the grid")
-    p.set_defaults(func=cmd_cpf)
 
-    p = sub.add_parser("check-bystander",
-                       help="test environment-marginal independence")
-    _add_common(p, tmax=0.0, step=1.0)
-    p.set_defaults(func=cmd_check_bystander)
-
-    p = sub.add_parser("validate", help="run the oracle/property suite")
-    _add_common(p, tmax=0.0, step=1.0)
-    p.set_defaults(func=cmd_validate)
+    _subcommand(sub, "check-bystander", cmd_check_bystander,
+                "test environment-marginal independence", model=True)
+    p = _subcommand(sub, "validate", cmd_validate,
+                    "run the oracle/property suite")
+    p.add_argument("--seed", type=int, default=42)
 
     return parser
 

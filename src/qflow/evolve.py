@@ -1,12 +1,15 @@
 """Propagation of bipartite states and closed-form depolarizing solutions.
 
 Time is measured in units of the inverse base rate throughout; the default
-grid step keeps the fastest rate resolved to one percent.  Time-independent
-generators are propagated with cached matrix exponentials; closed (unitary)
-models exponentiate their total Hamiltonian through one ``eigh`` in state
-space instead of the (ds de)^2 superoperator.  Modulated rates fall back to
-classical fixed-step fourth-order integration, chosen over adaptive
-stepping so outputs are bitwise reproducible.
+grid step keeps the fastest rate resolved to one percent.  Every
+propagation steps flattened state columns, a vector or a D x k matrix,
+through :func:`advance`, and :func:`stepping_cache` alone decides how a
+model is stepped.  Time-independent generators are propagated with cached
+matrix exponentials; closed (unitary) models exponentiate their total
+Hamiltonian through one ``eigh`` in state space instead of the (ds de)^2
+superoperator.  Modulated rates fall back to classical fixed-step
+fourth-order integration, chosen over adaptive stepping so outputs are
+bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -100,11 +103,24 @@ class PropagatorCache:
         return self._cache[key]
 
 
+def stepping_cache(model, stepper: str = "auto",
+                   cache: Optional[PropagatorCache] = None):
+    """Propagator cache to step the model with (``cache`` when given), or
+    None for RK4.  ``stepper`` is "auto" (exponentials when the generator
+    is constant), "expm", or "rk4"."""
+    if stepper not in ("auto", "expm", "rk4"):
+        raise InvariantViolation(f"unknown stepper {stepper!r}")
+    time_dep = models.is_time_dependent(model)
+    if stepper == "expm" and time_dep:
+        raise InvariantViolation("modulated rates require stepped integration")
+    if time_dep or stepper == "rk4":
+        return None
+    return cache if cache is not None else PropagatorCache.for_model(model)
+
+
 def _rk4_span(model, v: np.ndarray, t0: float, t1: float,
               step: Optional[float] = None) -> np.ndarray:
-    """Fixed-step integration of the flattened state from t0 to t1."""
-    if t1 == t0:
-        return v
+    """Fixed-step integration of flattened state columns from t0 to t1."""
     if step is None:
         # modulated rates stay below twice the base
         step = default_step(2.0 * max(model.gamma, model.phi), model.omega)
@@ -122,17 +138,25 @@ def _rk4_span(model, v: np.ndarray, t0: float, t1: float,
     return v
 
 
+def advance(model, v: np.ndarray, t0: float, t1: float,
+            step: Optional[float] = None,
+            cache: Optional[PropagatorCache] = None) -> np.ndarray:
+    """Step flattened state columns, a vector or a D x k matrix, from t0 to
+    t1 (absolute times): through ``cache`` when given, by RK4 otherwise.
+    A zero span returns ``v`` itself."""
+    if t1 == t0:
+        return v
+    if cache is None:
+        return _rk4_span(model, v, t0, t1, step)
+    return cache.at(t1 - t0) @ v
+
+
 def propagate_interval(model, state, t0: float, t1: float,
                        step: Optional[float] = None,
                        cache: Optional[PropagatorCache] = None):
     """Evolve one bipartite state from t0 to t1 (absolute times)."""
-    v = models.flatten_state(model, state)
-    if models.is_time_dependent(model):
-        v = _rk4_span(model, v, t0, t1, step)
-    else:
-        if cache is None:
-            cache = PropagatorCache.for_model(model)
-        v = cache.at(t1 - t0) @ v
+    v = advance(model, models.flatten_state(model, state), t0, t1, step,
+                stepping_cache(model, cache=cache))
     return models.unflatten_state(model, v)
 
 
@@ -143,36 +167,16 @@ def propagate(model, state0, grid: TimeGrid, stepper: str = "auto",
     ``stepper`` is "auto" (exponentials when the generator is constant),
     "expm", or "rk4".  ``cache`` lets several propagations of one model
     share their exponentials; RK4 ignores it.  Trace drift beyond 1e-8 (or
-    a non-finite trace) raises; states are re-symmetrized after every step
+    a non-finite trace) raises; states are re-symmetrized at every point
     but never re-normalized.
     """
-    if stepper not in ("auto", "expm", "rk4"):
-        raise InvariantViolation(f"unknown stepper {stepper!r}")
-    time_dep = models.is_time_dependent(model)
-    if stepper == "expm" and time_dep:
-        raise InvariantViolation("modulated rates require stepped integration")
-    use_rk4 = time_dep or stepper == "rk4"
-
+    cache = stepping_cache(model, stepper, cache)
     trace0 = models.state_trace(model, state0)
-    out = [np.array(state0)]
     v = models.flatten_state(model, state0)
-    times = grid.times
-    if not use_rk4 and cache is None:
-        cache = PropagatorCache.for_model(model)
-    if times[0] != 0.0:
-        # grid not anchored at zero: evolve silently up to the first time
-        if use_rk4:
-            v = _rk4_span(model, v, 0.0, times[0], grid.step)
-        else:
-            v = cache.at(times[0]) @ v
-        out[0] = models.resymmetrized(model, models.unflatten_state(model, v))
-        v = models.flatten_state(model, out[0])
-    prev_t = times[0]
-    for t in times[1:]:
-        if use_rk4:
-            v = _rk4_span(model, v, prev_t, t, grid.step)
-        else:
-            v = cache.at(t - prev_t) @ v
+    out = []
+    prev_t = 0.0
+    for t in grid.times:
+        v = advance(model, v, prev_t, t, grid.step, cache)
         state = models.resymmetrized(model, models.unflatten_state(model, v))
         drift = abs(models.state_trace(model, state) - trace0)
         if not drift <= TRACE_DRIFT_TOL:
@@ -416,9 +420,8 @@ def coherent_weight_series(gamma: float, phi: float, omega: float,
     out = np.empty(times.size)
     prev_t = 0.0
     for i, t in enumerate(times):
-        if t != prev_t:
-            v = cache.at(t - prev_t) @ v
-            prev_t = t
+        v = advance(None, v, prev_t, t, cache=cache)
+        prev_t = t
         out[i] = unvec(v, 4)[3, 3].real
     if not np.isfinite(out).all():
         raise NumericalDriftError(

@@ -342,7 +342,7 @@ def dims(model: BipartiteModel) -> tuple[int, int]:
     return model.ds, model.env_dim
 
 
-def _depolarizing_stacked_parts(ds_gamma: float = 1.0):
+def _depolarizing_stacked_parts():
     """Stacked generators for unit gamma and unit phi, to combine affinely."""
     eye4 = np.eye(4)
     g_gamma = np.zeros((16, 16), dtype=complex)
@@ -466,23 +466,19 @@ def initial_state(model: BipartiteModel, rho0s: np.ndarray, env0=None):
 
 
 def flatten_state(model: BipartiteModel, state: np.ndarray) -> np.ndarray:
-    if uses_stacked(model):
-        return np.concatenate([vec(b) for b in state])
-    return vec(state)
+    """Column-stacked state; a stack of blocks is the concatenation of the
+    column-stacked blocks."""
+    return np.asarray(state).swapaxes(-1, -2).reshape(-1)
 
 
 def unflatten_state(model: BipartiteModel, v: np.ndarray) -> np.ndarray:
     ds, de = dims(model)
-    if uses_stacked(model):
-        n = ds * ds
-        return np.array([unvec(v[c * n:(c + 1) * n], ds) for c in range(de)])
-    return unvec(v, ds * de)
+    shape = (de, ds, ds) if uses_stacked(model) else (ds * de, ds * de)
+    return np.asarray(v).reshape(shape).swapaxes(-1, -2)
 
 
 def state_trace(model: BipartiteModel, state: np.ndarray) -> float:
-    if uses_stacked(model):
-        return float(sum(np.trace(b).real for b in state))
-    return float(np.trace(state).real)
+    return float(np.trace(state, axis1=-2, axis2=-1).real.sum())
 
 
 def sys_marginal(model: BipartiteModel, state: np.ndarray) -> np.ndarray:
@@ -520,27 +516,17 @@ def product_with_env(model: BipartiteModel, sys_state: np.ndarray,
 
 def expect_system_projector(model: BipartiteModel, state: np.ndarray,
                             ket: np.ndarray) -> float:
-    if uses_stacked(model):
-        return float(sum((ket.conj() @ b @ ket).real for b in state))
-    ds, de = dims(model)
-    p_full = kron(projector(ket), np.eye(de))
-    return float(np.trace(p_full @ state).real)
+    return float((ket.conj() @ sys_marginal(model, state) @ ket).real)
 
 
 def bipartite_trace_distance(model: BipartiteModel, a: np.ndarray,
                              b: np.ndarray) -> float:
-    if uses_stacked(model):
-        total = 0.0
-        for ba, bb in zip(a, b):
-            eigs = np.linalg.eigvalsh(hermitize(ba - bb))
-            total += 0.5 * float(np.abs(eigs).sum())
-        return total
+    """Trace distance of two bipartite states; stacked states are
+    block diagonal in the environment labels."""
     return trace_distance(a, b)
 
 
 def resymmetrized(model: BipartiteModel, state: np.ndarray) -> np.ndarray:
-    if uses_stacked(model):
-        return np.array([hermitize(b) for b in state])
     return hermitize(state)
 
 

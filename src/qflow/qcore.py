@@ -47,8 +47,8 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (A + A^dag)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A^dag)/2 of each trailing square block."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def projector(ket: np.ndarray) -> np.ndarray:
@@ -102,7 +102,8 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of the Hermitian difference of two states."""
+    """Half the trace norm of the Hermitian difference of two states; a
+    stack of square blocks counts as their block-diagonal sum."""
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
@@ -110,7 +111,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
             f"dimension mismatch: {rho.shape} vs {sigma.shape}"
         )
     eigs = np.linalg.eigvalsh(hermitize(rho - sigma))
-    return 0.5 * float(np.abs(eigs).sum())
+    return 0.5 * float(np.abs(eigs).sum(axis=-1).sum())
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ unconditioned.  A nonzero random-scheme correlation certifies that the
 environment actually responds to the system.
 
 One engine, ``_cpf_tensors``, computes the joint tensors
-P[z, y, x] = <Pi_z| Phi_tau R_y Phi_t |Pi_x (x) rho_E> for any set of
+P[z, y, x] = Re Tr[Pi_z Phi_tau R_y Phi_t (Pi_x (x) rho_E)] for any set of
 (t, tau) pairs; the single-point, product-grid and equal-time functions are
-thin wrappers around it.
+thin wrappers around it.  It carries the past states and the relays as
+matrices of flattened-state columns and reads every outcome with one
+matrix product.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import models
-from .evolve import PropagatorCache, TimeGrid, propagate, propagate_interval
+from .evolve import (TimeGrid, advance, propagate, propagate_interval,
+                     stepping_cache)
 from .qcore import (
     InvariantViolation,
     NumericalDriftError,
@@ -192,6 +195,21 @@ def reference_measurements() -> tuple[np.ndarray, tuple]:
 # trace-distance witness
 # ---------------------------------------------------------------------------
 
+def _bound_terms(model, r, s) -> tuple:
+    """System trace distance, environment term and the two correlation terms
+    of one pair of bipartite states."""
+    sys_r, sys_s = models.sys_marginal(model, r), models.sys_marginal(model, s)
+    env_r, env_s = models.env_marginal(model, r), models.env_marginal(model, s)
+    return (
+        trace_distance(sys_r, sys_s),
+        trace_distance(env_r, env_s),
+        models.bipartite_trace_distance(
+            model, r, models.product_with_env(model, sys_r, env_r)),
+        models.bipartite_trace_distance(
+            model, s, models.product_with_env(model, sys_s, env_s)),
+    )
+
+
 def trace_distance_series(model, rho0s, sigma0s, env0=None,
                           grid: TimeGrid = None,
                           revival_tol: float = REVIVAL_TOL,
@@ -208,29 +226,19 @@ def trace_distance_series(model, rho0s, sigma0s, env0=None,
     validate_density_matrix(sigma0s)
     state_r = models.initial_state(model, rho0s, env0)
     state_s = models.initial_state(model, sigma0s, env0)
-    cache = None
-    if stepper != "rk4" and not models.is_time_dependent(model):
-        cache = PropagatorCache.for_model(model)
+    cache = stepping_cache(model, stepper)
     series_r = propagate(model, state_r, grid, stepper=stepper, cache=cache)
     series_s = propagate(model, state_s, grid, stepper=stepper, cache=cache)
-    nt = grid.times.size
-    values = np.empty(nt)
-    env_terms = np.empty(nt) if with_bound_terms else None
-    corr_r = np.empty(nt) if with_bound_terms else None
-    corr_s = np.empty(nt) if with_bound_terms else None
-    for i in range(nt):
-        sys_r = models.sys_marginal(model, series_r[i])
-        sys_s = models.sys_marginal(model, series_s[i])
-        values[i] = trace_distance(sys_r, sys_s)
-        if with_bound_terms:
-            env_r = models.env_marginal(model, series_r[i])
-            env_s = models.env_marginal(model, series_s[i])
-            env_terms[i] = trace_distance(env_r, env_s)
-            corr_r[i] = models.bipartite_trace_distance(
-                model, series_r[i], models.product_with_env(model, sys_r, env_r))
-            corr_s[i] = models.bipartite_trace_distance(
-                model, series_s[i], models.product_with_env(model, sys_s, env_s))
-    revivals = np.zeros(nt, dtype=bool)
+    pairs = zip(series_r, series_s)
+    if with_bound_terms:
+        terms = np.array([_bound_terms(model, r, s) for r, s in pairs])
+        values, env_terms, corr_r, corr_s = terms.T
+    else:
+        values = np.array([trace_distance(models.sys_marginal(model, r),
+                                          models.sys_marginal(model, s))
+                           for r, s in pairs])
+        env_terms = corr_r = corr_s = None
+    revivals = np.zeros(values.size, dtype=bool)
     revivals[:-1] = np.diff(values) > revival_tol
     return TdTrace(times=np.array(grid.times), values=values, revivals=revivals,
                    env_terms=env_terms, corr_rho=corr_r, corr_sigma=corr_s)
@@ -243,26 +251,16 @@ def trace_distance_bound(model, rho0s, sigma0s, env0, t: float, tau: float,
         raise InvariantViolation("need t >= 0 and tau > 0")
     state_r = models.initial_state(model, rho0s, env0)
     state_s = models.initial_state(model, sigma0s, env0)
-    cache = None
-    if not models.is_time_dependent(model):
-        cache = PropagatorCache.for_model(model)
+    cache = stepping_cache(model)
     r_t = propagate_interval(model, state_r, 0.0, t, step, cache)
     s_t = propagate_interval(model, state_s, 0.0, t, step, cache)
     r_tt = propagate_interval(model, r_t, t, t + tau, step, cache)
     s_tt = propagate_interval(model, s_t, t, t + tau, step, cache)
-    sys_r, sys_s = models.sys_marginal(model, r_t), models.sys_marginal(model, s_t)
-    env_r, env_s = models.env_marginal(model, r_t), models.env_marginal(model, s_t)
-    d_t = trace_distance(sys_r, sys_s)
+    d_t, env_term, corr_rho, corr_sigma = _bound_terms(model, r_t, s_t)
     d_tt = trace_distance(models.sys_marginal(model, r_tt),
                           models.sys_marginal(model, s_tt))
-    return BoundTerms(
-        increment=d_tt - d_t,
-        env_term=trace_distance(env_r, env_s),
-        corr_rho=models.bipartite_trace_distance(
-            model, r_t, models.product_with_env(model, sys_r, env_r)),
-        corr_sigma=models.bipartite_trace_distance(
-            model, s_t, models.product_with_env(model, sys_s, env_s)),
-    )
+    return BoundTerms(increment=d_tt - d_t, env_term=env_term,
+                      corr_rho=corr_rho, corr_sigma=corr_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +288,11 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus_per_t, scheme, policy,
     ``ts[it]``.
 
     The nx conditioned past states are carried from one t to the next and
-    the nx * ny relays from one tau to the next, so each propagation spans
-    one gap of the grid.  Each readout is weighted by the policy (random
-    scheme) or by one (deterministic scheme).
+    the nx * ny relays from one tau to the next as flattened-state columns,
+    so each propagation spans one gap of the grid.  The row
+    conj(flatten(Pi_z (x) 1_E)) reads outcome z out of every relay; each
+    readout is weighted by the policy (random scheme) or by one
+    (deterministic scheme).
     """
     validate_density_matrix(rho0s)
     spec_x, spec_y, spec_z = specs
@@ -312,44 +312,39 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus_per_t, scheme, policy,
     # written so that NaN fails the check
     if not (np.all(ts >= 0) and np.all(taus_per_t >= 0)):
         raise InvariantViolation("times t and tau must be non-negative")
-    cache = None
-    if not models.is_time_dependent(model):
-        cache = PropagatorCache.for_model(model)
+    cache = stepping_cache(model)
     tensors = np.empty((ts.size, taus_per_t.shape[1], nz, ny, nx))
-    kets_x = [spec_x.ket(ix) for ix in range(nx)]
-    pxs = [float((ket.conj() @ rho0s @ ket).real) for ket in kets_x]
-    states_x = [models.initial_state(model, projector(ket), env0)
-                for ket in kets_x]
+    kets_x = spec_x.vectors.T
+    pxs = np.array([(ket.conj() @ rho0s @ ket).real for ket in kets_x])
+    rows = np.array([models.flatten_state(model, models.product_with_env(
+        model, spec_z.projector(iz), np.eye(model.env_dim))).conj()
+        for iz in range(nz)])
+    columns = lambda states: np.stack(
+        [models.flatten_state(model, s) for s in states], axis=1)
+    past = columns(models.initial_state(model, projector(ket), env0)
+                   for ket in kets_x)
     prev_t = 0.0
     for it, t in enumerate(ts):
-        states_x = [propagate_interval(model, s, prev_t, t, step, cache)
-                    for s in states_x]
+        past = advance(model, past, prev_t, t, step, cache)
         prev_t = t
-        relays = {}
-        for ix, state_t in enumerate(states_x):
+        relays = []
+        for ix in range(nx):
+            state_t = models.unflatten_state(model, past[:, ix])
             if scheme == "r":
                 env_free = models.env_marginal(model, state_t)
-            for iy in range(ny):
-                ket_y = spec_y.ket(iy)
+            for ket_y in spec_y.vectors.T:
                 env_mid = (env_free if scheme == "r" else
                            models.env_after_projection(model, state_t, ket_y))
-                relays[ix, iy] = models.product_with_env(
-                    model, projector(ket_y), env_mid)
+                relays.append(models.product_with_env(
+                    model, projector(ket_y), env_mid))
+        relays = columns(relays)
         prev_tau = 0.0
         for itau, tau in enumerate(taus_per_t[it]):
-            relays = {
-                key: propagate_interval(model, s, t + prev_tau, t + tau,
-                                        step, cache)
-                for key, s in relays.items()
-            }
+            relays = advance(model, relays, t + prev_tau, t + tau, step, cache)
             prev_tau = tau
-            p = np.zeros((nz, ny, nx))
-            for (ix, iy), state_tt in relays.items():
-                for iz in range(nz):
-                    val = models.expect_system_projector(model, state_tt,
-                                                         spec_z.ket(iz))
-                    p[iz, iy, ix] = pxs[ix] * (val * weights[ix, iy])
-            tensors[it, itau] = _check_tensor(p)
+            # relay columns run over (ix, iy); the tensor is indexed [z, y, x]
+            readout = (rows @ relays).real.reshape(nz, nx, ny).swapaxes(1, 2)
+            tensors[it, itau] = _check_tensor(pxs * (readout * weights.T))
     return tensors
 
 

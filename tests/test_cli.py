@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from qflow import models
+from qflow import cli, models
 from qflow.cli import main
+from qflow.witness import cpf_equal_times
 
 
 def run(argv):
@@ -49,6 +50,21 @@ class TestFigureCommands:
                     "--phi-over-gamma", "1", "--out", str(out)]) == 0
         _, _, data = read_csv(out)
         assert data[-1, 1] == pytest.approx(8 / 81, abs=1e-3)
+
+    def test_fig1b_closed_form_breach(self, tmp_path, monkeypatch, capsys):
+        def perturbed(*args, **kwargs):
+            res = cpf_equal_times(*args, **kwargs)
+            res.values[0, -1, 0] += 1e-7
+            return res
+
+        monkeypatch.setattr(cli, "cpf_equal_times", perturbed)
+        out = tmp_path / "fig1b.csv"
+        assert run(["fig1b", "--tmax", "1", "--step", "0.05",
+                    "--phi-over-gamma", "0.5,1", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert "phi/gamma=1 column" in captured.err
+        assert not out.exists()
 
     def test_fig2_revival_flags(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -137,6 +153,22 @@ class TestExitCodes:
 
     def test_invalid_rates_are_config_errors(self, capsys):
         assert run(["td", "--gamma", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1a", "--gamma", "2"],
+        ["fig1b", "--model", "model.json"],
+        ["fig2", "--omega", "1"],
+        ["fig2", "--phi", "2"],
+        ["validate", "--tmax", "1"],
+        ["validate", "--step", "0.1"],
+        ["check-bystander", "--tmax", "1"],
+        ["check-bystander", "--seed", "3"],
+    ])
+    def test_flags_a_command_ignores_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_validate_passes(self, tmp_path):
         out = tmp_path / "validate.txt"

@@ -400,6 +400,69 @@ class TestStateHelpers:
         assert np.abs(models.sys_marginal(m, state) - rho0).max() < 1e-14
         assert np.abs(models.env_marginal(m, state) - m.env0).max() < 1e-14
 
+    # single-body state ops against per-block (stacked) and kron or
+    # partial-trace (full) references, on general complex operators
+    LAYOUTS = [
+        pytest.param(lambda rng: random_stochastic_env(rng, nc=3), True,
+                     id="stacked"),
+        pytest.param(lambda rng: random_quantum_bystander(rng, de=3), False,
+                     id="full"),
+    ]
+
+    @staticmethod
+    def _operator(rng, m, stacked):
+        shape = (m.env_dim, m.ds, m.ds) if stacked else (m.ds * m.env_dim,) * 2
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("make, stacked", LAYOUTS)
+    def test_flatten_round_trip(self, make, stacked):
+        rng = np.random.default_rng(21)
+        m = make(rng)
+        x = self._operator(rng, m, stacked)
+        v = models.flatten_state(m, x)
+        want = np.concatenate([vec(b) for b in x]) if stacked else vec(x)
+        assert np.array_equal(v, want)
+        assert np.array_equal(models.unflatten_state(m, v), x)
+
+    @pytest.mark.parametrize("make, stacked", LAYOUTS)
+    def test_trace_and_resymmetrized(self, make, stacked):
+        rng = np.random.default_rng(22)
+        m = make(rng)
+        x = self._operator(rng, m, stacked)
+        blocks = x if stacked else [x]
+        want = sum(np.trace(b).real for b in blocks)
+        assert models.state_trace(m, x) == pytest.approx(want, abs=1e-13)
+        herm = np.array([0.5 * (b + b.conj().T) for b in blocks])
+        assert np.array_equal(models.resymmetrized(m, x),
+                              herm if stacked else herm[0])
+
+    @pytest.mark.parametrize("make, stacked", LAYOUTS)
+    def test_bipartite_trace_distance(self, make, stacked):
+        rng = np.random.default_rng(23)
+        m = make(rng)
+        a = models.resymmetrized(m, self._operator(rng, m, stacked))
+        b = models.resymmetrized(m, self._operator(rng, m, stacked))
+        pairs = zip(a, b) if stacked else [(a, b)]
+        want = sum(0.5 * np.abs(np.linalg.eigvalsh(pa - pb)).sum()
+                   for pa, pb in pairs)
+        assert models.bipartite_trace_distance(m, a, b) == pytest.approx(
+            want, abs=1e-12)
+
+    @pytest.mark.parametrize("make, stacked", LAYOUTS)
+    def test_expect_system_projector(self, make, stacked):
+        rng = np.random.default_rng(24)
+        m = make(rng)
+        x = self._operator(rng, m, stacked)
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ket /= np.linalg.norm(ket)
+        if stacked:
+            want = sum((ket.conj() @ b @ ket).real for b in x)
+        else:
+            lift = kron(np.outer(ket, ket.conj()), np.eye(m.env_dim))
+            want = np.trace(lift @ x).real
+        assert models.expect_system_projector(m, x, ket) == pytest.approx(
+            want, abs=1e-12)
+
     def test_classical_env_rejects_coherences(self):
         m = DepolarizingModel(gamma=1.0, phi=1.0)
         rho0 = np.eye(2, dtype=complex) / 2

@@ -11,6 +11,7 @@ from qflow.qcore import (
     SIGMA_Z,
     apply_superop,
     basis_ket,
+    hermitize,
     kron,
     lindblad_superoperator,
     matrix_exp,
@@ -239,3 +240,13 @@ def test_vec_unvec_roundtrip():
     assert np.array_equal(unvec(vec(x), 4), x)
     # column stacking: first d entries are the first column
     assert np.array_equal(vec(x)[:4], x[:, 0])
+
+
+def test_hermitize_acts_on_each_trailing_block():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    stacked = hermitize(x)
+    assert stacked.shape == x.shape
+    for block, h in zip(x, stacked):
+        assert np.array_equal(h, 0.5 * (block + block.conj().T))
+        assert np.array_equal(h, hermitize(block))

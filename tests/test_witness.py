@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qflow import models
@@ -366,3 +367,95 @@ class TestGridEvaluators:
         assert np.abs(p_mod.sum() - 1.0) < 1e-9
         # the modulation visibly changes the joint statistics
         assert np.abs(p_mod - p_static).max() > 1e-4
+
+
+# Independent reference for the CPF engine: exact propagators from
+# scipy.linalg.expm of the assembled generator, and the measurement chain
+# written out per block (stacked states) or with kron and partial traces
+# (full states).  The bases are complex, so a readout or relay that keeps
+# only a real-linear part of the state would fail.
+REFERENCE_MODELS = [pytest.param(make, id=name) for name, make in (
+    ("classical_mixture", lambda rng: random_classical_mixture(rng, nc=3)),
+    ("stochastic_env", lambda rng: random_stochastic_env(rng, nc=3)),
+    ("quantum_bystander", lambda rng: random_quantum_bystander(rng, de=3)),
+    ("unitary", lambda rng: random_unitary_model(rng, de=3)),
+    ("depolarizing", lambda rng: DepolarizingModel(gamma=1.0, phi=0.6)),
+    ("depolarizing_driven", lambda rng: DepolarizingModel(gamma=1.0, phi=0.6,
+                                                          omega=1.3)),
+)]
+
+
+def _reference_cpf(m, rho0s, specs, ts, taus, scheme, policy):
+    """P[t, tau, z, y, x] of the three-measurement chain, state by state."""
+    gen = models.assemble_generator(m)
+    ds, de = m.ds, m.env_dim
+    stacked = isinstance(m, (models.ClassicalMixtureModel,
+                             models.StochasticEnvModel)) or (
+        isinstance(m, DepolarizingModel) and m.omega == 0.0)
+
+    def evolve(state, dt):
+        prop = scipy.linalg.expm(gen * dt)
+        if stacked:
+            v = prop @ np.concatenate([b.flatten(order="F") for b in state])
+            return [v[c * ds * ds:(c + 1) * ds * ds].reshape(ds, ds, order="F")
+                    for c in range(de)]
+        return (prop @ state.flatten(order="F")).reshape(ds * de, ds * de,
+                                                         order="F")
+
+    def env_part(state):
+        return np.einsum("abad->bd", state.reshape(ds, de, ds, de))
+
+    if stacked:
+        pops = (m.weights if isinstance(m, models.ClassicalMixtureModel)
+                else m.populations0)
+    else:
+        env0 = (np.diag(m.populations0).astype(complex)
+                if isinstance(m, DepolarizingModel) else m.env0)
+    kets = [spec.vectors.T for spec in specs]
+    n = [spec.n_outcomes for spec in specs]
+    out = np.empty((len(ts), len(taus), n[2], n[1], n[0]))
+    for ix, kx in enumerate(kets[0]):
+        px = float((kx.conj() @ rho0s @ kx).real)
+        pi_x = np.outer(kx, kx.conj())
+        start = ([p * pi_x for p in pops] if stacked
+                 else np.kron(pi_x, env0))
+        for it, t in enumerate(ts):
+            state_t = evolve(start, t)
+            for iy, ky in enumerate(kets[1]):
+                pi_y = np.outer(ky, ky.conj())
+                w = 1.0 if scheme == "d" else policy.matrix[ix, iy]
+                if stacked and scheme == "d":
+                    relay = [(ky.conj() @ b @ ky).real * pi_y for b in state_t]
+                elif stacked:
+                    relay = [np.trace(b).real * pi_y for b in state_t]
+                elif scheme == "d":
+                    lift = np.kron(pi_y, np.eye(de))
+                    relay = np.kron(pi_y, env_part(lift @ state_t @ lift))
+                else:
+                    relay = np.kron(pi_y, env_part(state_t))
+                for itau, tau in enumerate(taus):
+                    final = evolve(relay, tau)
+                    for iz, kz in enumerate(kets[2]):
+                        if stacked:
+                            val = sum((kz.conj() @ b @ kz).real for b in final)
+                        else:
+                            lift = np.kron(np.outer(kz, kz.conj()), np.eye(de))
+                            val = np.trace(lift @ final).real
+                        out[it, itau, iz, iy, ix] = px * w * val
+    return out
+
+
+class TestCpfReference:
+    @pytest.mark.parametrize("make", REFERENCE_MODELS)
+    @pytest.mark.parametrize("scheme", ["d", "r"])
+    def test_grid_matches_independent_reference(self, make, scheme):
+        rng = np.random.default_rng(2024)
+        m = make(rng)
+        specs = tuple(random_measurement(rng) for _ in range(3))
+        policy = random_policy(rng, 2, 2)
+        rho0s = random_density_matrix(rng, 2)
+        ts, taus = [0.0, 0.35, 1.2], [0.25, 0.8]
+        res = cpf_grid(m, rho0s, None, specs, ts, taus, scheme=scheme,
+                       policy=policy)
+        want = _reference_cpf(m, rho0s, specs, ts, taus, scheme, policy)
+        assert np.abs(res.tensors - want).max() < 1e-12
