@@ -194,8 +194,8 @@ def propagate(model, state0, grid: TimeGrid, stepper: str = "auto",
 # ---------------------------------------------------------------------------
 
 def _require_rates(gamma: float, phi: float) -> None:
-    if gamma <= 0 or phi <= 0:
-        raise InvariantViolation("rates must be positive")
+    if not (0 < gamma < np.inf and 0 < phi < np.inf):  # NaN fails
+        raise InvariantViolation("rates must be finite and positive")
 
 
 def depolarizing_weight(gamma: float, phi: float, t):
@@ -404,8 +404,8 @@ def coherent_weight_series(gamma: float, phi: float, omega: float,
     alone (they differ by up to 0.25 at omega = 0.5 and 0.72 at omega = 5).
     """
     _require_rates(gamma, phi)
-    if omega < 0:
-        raise InvariantViolation("drive frequency must be non-negative")
+    if not 0 <= omega < np.inf:  # NaN fails
+        raise InvariantViolation("drive frequency must be finite and non-negative")
     he, lowering = models.depolarizing_env_operators(omega)
     jumps = []
     for b in lowering:

@@ -9,6 +9,11 @@ Two internal representations are used:
 * "full": quantum environments use the bipartite density matrix, shape
   ``(ds*de, ds*de)``, with the generator acting on its vectorization.
 
+The state operations read both through one view, the environment blocks
+``<e|rho|f>`` of shape ``(..., de, de, ds, ds)``, in which a stacked state
+fills only the diagonal blocks; only the layout helpers know which
+representation a model uses.  States may carry leading batch axes.
+
 Models are immutable after construction and all helpers are pure.
 """
 
@@ -19,12 +24,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .qcore import (
     HERMITIAN_TOL,
     PROPAGATION_TOL,
     InvariantViolation,
+    NumericalDriftError,
     PAULI_OPS,
     basis_ket,
     conjugation_superop,
@@ -36,15 +41,11 @@ from .qcore import (
     lift_system_superop,
     lindblad_superoperator,
     matrix_exp,
-    partial_trace,
-    projector,
     random_density_matrix,
     random_hermitian,
     trace_distance,
     trace_preservation_residual,
-    unvec,
     validate_density_matrix,
-    vec,
 )
 
 MODEL_FORMAT = "qflow-model/1"
@@ -65,8 +66,19 @@ def _freeze_real(a) -> np.ndarray:
     return out
 
 
+def _check_finite(a: np.ndarray, label: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise InvariantViolation(f"{label} has non-finite entries")
+
+
+def _check_rate(rate: float, label: str) -> None:
+    if not 0 <= rate < np.inf:  # NaN fails
+        raise InvariantViolation(f"{label} must be finite and non-negative")
+
+
 def _check_generator(gen: np.ndarray, dim: int, label: str) -> None:
-    if trace_preservation_residual(gen, dim) > PROPAGATION_TOL:
+    _check_finite(gen, f"{label} generator")
+    if not trace_preservation_residual(gen, dim) <= PROPAGATION_TOL:
         raise InvariantViolation(f"{label} generator is not trace preserving")
 
 
@@ -89,7 +101,7 @@ class ClassicalMixtureModel:
         object.__setattr__(self, "weights", weights)
         if len(lindblads) != weights.size or not lindblads:
             raise InvariantViolation("one weight per generator required")
-        if weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-12:
+        if not (weights.min() >= 0 and abs(weights.sum() - 1.0) <= 1e-12):
             raise InvariantViolation("weights must be a probability vector")
         ds = self.ds
         for i, g in enumerate(lindblads):
@@ -121,8 +133,7 @@ class EnvJump:
 
     def __post_init__(self):
         object.__setattr__(self, "kraus", tuple(_freeze(k) for k in self.kraus))
-        if self.rate < 0:
-            raise InvariantViolation("jump rate must be non-negative")
+        _check_rate(self.rate, "jump rate")
         if self.src == self.dst:
             raise InvariantViolation("jump must change the environment label")
         kraus_superoperator(self.kraus, require_cptp=True)
@@ -143,7 +154,8 @@ class StochasticEnvModel:
         nc = len(self.lindblads)
         if self.populations0.size != nc:
             raise InvariantViolation("one initial population per label required")
-        if self.populations0.min() < 0 or abs(self.populations0.sum() - 1.0) > 1e-12:
+        pops = self.populations0
+        if not (pops.min() >= 0 and abs(pops.sum() - 1.0) <= 1e-12):
             raise InvariantViolation("initial populations must be normalized")
         ds = self.ds
         for i, g in enumerate(self.lindblads):
@@ -182,8 +194,8 @@ class Collision:
     def __post_init__(self):
         object.__setattr__(self, "op", _freeze(self.op))
         object.__setattr__(self, "kraus", tuple(_freeze(k) for k in self.kraus))
-        if self.rate < 0:
-            raise InvariantViolation("collision rate must be non-negative")
+        _check_rate(self.rate, "collision rate")
+        _check_finite(self.op, "collision operator")
         kraus_superoperator(self.kraus, require_cptp=True)
 
 
@@ -286,17 +298,17 @@ class DepolarizingModel:
     modulation: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.phi <= 0:
-            raise InvariantViolation("rates must be positive")
-        if self.omega < 0:
-            raise InvariantViolation("drive frequency must be non-negative")
+        if not (0 < self.gamma < np.inf and 0 < self.phi < np.inf):  # NaN fails
+            raise InvariantViolation("rates must be finite and positive")
+        _check_rate(self.omega, "drive frequency")
         pops = self.populations0
         if pops is None:
             gp = self.gamma + self.phi
             pops = [self.gamma / (3 * gp)] * 3 + [self.phi / gp]
         pops = _freeze_real(pops)
         object.__setattr__(self, "populations0", pops)
-        if pops.size != 4 or pops.min() < 0 or abs(pops.sum() - 1.0) > 1e-12:
+        if not (pops.size == 4 and pops.min() >= 0
+                and abs(pops.sum() - 1.0) <= 1e-12):
             raise InvariantViolation("populations0 must be 4 normalized weights")
 
     @property
@@ -383,15 +395,15 @@ def _depolarizing_full_generator(gamma: float, phi: float, omega: float) -> np.n
 
 def assemble_generator(model: BipartiteModel, t: float = 0.0) -> np.ndarray:
     """Generator acting on the flattened representation at time ``t``."""
-    if isinstance(model, ClassicalMixtureModel):
-        return scipy.linalg.block_diag(*model.lindblads)
-    if isinstance(model, StochasticEnvModel):
+    if isinstance(model, (ClassicalMixtureModel, StochasticEnvModel)):
+        # a mixture is a stochastic environment without jumps
         ds, nc = model.ds, model.env_dim
         n = ds * ds
         gen = np.zeros((nc * n, nc * n), dtype=complex)
         for c in range(nc):
             gen[c * n:(c + 1) * n, c * n:(c + 1) * n] = model.lindblads[c]
-        for j in model.jumps:
+        jumps = model.jumps if isinstance(model, StochasticEnvModel) else ()
+        for j in jumps:
             src = slice(j.src * n, (j.src + 1) * n)
             dst = slice(j.dst * n, (j.dst + 1) * n)
             gen[src, src] -= j.rate * np.eye(n)
@@ -421,60 +433,79 @@ def assemble_generator(model: BipartiteModel, t: float = 0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bipartite state helpers (dispatch on the model representation)
+# bipartite state helpers (only the layout helpers see the representation)
 # ---------------------------------------------------------------------------
 
-def default_env_state(model: BipartiteModel):
-    """Model-owned initial environment: populations or a density matrix."""
+def default_env_state(model: BipartiteModel) -> np.ndarray:
+    """Model-owned initial environment as a matrix, diagonal when classical."""
     if isinstance(model, ClassicalMixtureModel):
-        return np.array(model.weights)
-    if isinstance(model, StochasticEnvModel):
-        return np.array(model.populations0)
-    if isinstance(model, DepolarizingModel):
-        if uses_stacked(model):
-            return np.array(model.populations0)
-        env = np.diag(model.populations0).astype(complex)
-        return env
+        return np.diag(model.weights)
+    if isinstance(model, (StochasticEnvModel, DepolarizingModel)):
+        return np.diag(model.populations0)
     return np.array(model.env0)
 
 
-def _env_populations_from(env0, nc: int) -> np.ndarray:
-    env0 = np.asarray(env0)
-    if env0.ndim == 2:
-        off = env0 - np.diag(np.diag(env0))
-        if np.abs(off).max() > 1e-12:
-            raise InvariantViolation(
-                "classical environments cannot carry coherences; "
-                "pass diagonal populations"
-            )
-        env0 = np.diag(env0).real
-    if env0.size != nc or env0.min() < -1e-12 or abs(env0.sum() - 1.0) > 1e-10:
-        raise InvariantViolation("environment populations must be normalized")
-    return env0.real
-
-
 def initial_state(model: BipartiteModel, rho0s: np.ndarray, env0=None):
-    """Separable initial bipartite state in the model representation."""
+    """Separable initial bipartite state in the model representation; a
+    classical environment takes populations or a diagonal density matrix."""
     validate_density_matrix(rho0s)
-    if env0 is None:
-        env0 = default_env_state(model)
+    env0 = np.asarray(default_env_state(model) if env0 is None else env0)
     if uses_stacked(model):
-        pops = _env_populations_from(env0, model.env_dim)
-        return np.array([p * np.asarray(rho0s, dtype=complex) for p in pops])
-    env0 = validate_density_matrix(np.asarray(env0, dtype=complex))
-    return kron(rho0s, env0)
+        if env0.ndim == 2:
+            if np.abs(env0 - np.diag(np.diag(env0))).max() > 1e-12:
+                raise InvariantViolation("classical environments cannot carry "
+                                         "coherences; pass diagonal populations")
+            env0 = np.diag(env0)
+        pops = env0.real
+        if not (pops.size == model.env_dim and pops.min() >= -1e-12
+                and abs(pops.sum() - 1.0) <= 1e-10):  # NaN fails
+            raise InvariantViolation("environment populations must be normalized")
+        env0 = np.diag(pops)
+    else:
+        env0 = validate_density_matrix(np.asarray(env0, dtype=complex))
+    return product_with_env(model, np.asarray(rho0s, dtype=complex), env0)
+
+
+def _state_shape(model: BipartiteModel) -> tuple:
+    ds, de = dims(model)
+    return (de, ds, ds) if uses_stacked(model) else (ds * de, ds * de)
+
+
+def _env_blocks(model: BipartiteModel, state: np.ndarray) -> np.ndarray:
+    """Environment blocks <e|state|f>, shape (..., de, de, ds, ds): a view
+    of a full state; a stack fills only the diagonal blocks."""
+    ds, de = dims(model)
+    state = np.asarray(state)
+    if uses_stacked(model):
+        # environment axes innermost in memory, where the block traces and
+        # products run several times faster
+        blocks = np.einsum("...acef->...efac", np.zeros(
+            state.shape[:-3] + (ds, ds, de, de), dtype=state.dtype))
+        np.einsum("...eeab->...eab", blocks)[...] = state
+        return blocks
+    split = state.reshape(state.shape[:-2] + (ds, de, ds, de))
+    return np.einsum("...aecf->...efac", split)
+
+
+def _from_env_blocks(model: BipartiteModel, blocks: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_env_blocks`; a stack keeps the diagonal blocks."""
+    if uses_stacked(model):
+        return np.einsum("...eeab->...eab", blocks)
+    state = np.einsum("...efac->...aecf", blocks)
+    return state.reshape(blocks.shape[:-4] + _state_shape(model))
 
 
 def flatten_state(model: BipartiteModel, state: np.ndarray) -> np.ndarray:
     """Column-stacked state; a stack of blocks is the concatenation of the
-    column-stacked blocks."""
-    return np.asarray(state).swapaxes(-1, -2).reshape(-1)
+    column-stacked blocks.  Leading batch axes are kept."""
+    state = np.asarray(state)
+    batch = state.shape[:state.ndim - len(_state_shape(model))]
+    return state.swapaxes(-1, -2).reshape(batch + (-1,))
 
 
 def unflatten_state(model: BipartiteModel, v: np.ndarray) -> np.ndarray:
-    ds, de = dims(model)
-    shape = (de, ds, ds) if uses_stacked(model) else (ds * de, ds * de)
-    return np.asarray(v).reshape(shape).swapaxes(-1, -2)
+    v = np.asarray(v)
+    return v.reshape(v.shape[:-1] + _state_shape(model)).swapaxes(-1, -2)
 
 
 def state_trace(model: BipartiteModel, state: np.ndarray) -> float:
@@ -482,36 +513,27 @@ def state_trace(model: BipartiteModel, state: np.ndarray) -> float:
 
 
 def sys_marginal(model: BipartiteModel, state: np.ndarray) -> np.ndarray:
-    if uses_stacked(model):
-        return np.sum(state, axis=0)
-    return partial_trace(state, dims(model), "system")
+    return np.einsum("...eeab->...ab", _env_blocks(model, state))
 
 
 def env_marginal(model: BipartiteModel, state: np.ndarray) -> np.ndarray:
     """Environment marginal as a density matrix (diagonal when classical)."""
-    if uses_stacked(model):
-        return np.diag([np.trace(b).real for b in state]).astype(complex)
-    return partial_trace(state, dims(model), "environment")
+    return np.einsum("...aa->...", _env_blocks(model, state))
 
 
 def env_after_projection(model: BipartiteModel, state: np.ndarray,
                          ket: np.ndarray) -> np.ndarray:
     """Unnormalized environment state conditioned on the system projector."""
-    if uses_stacked(model):
-        weights = [float((ket.conj() @ b @ ket).real) for b in state]
-        return np.diag(weights).astype(complex)
-    ds, de = dims(model)
-    p_full = kron(projector(ket), np.eye(de))
-    return partial_trace(p_full @ state @ p_full, (ds, de), "environment")
+    return ket.conj() @ _env_blocks(model, state) @ ket
 
 
 def product_with_env(model: BipartiteModel, sys_state: np.ndarray,
                      env_state: np.ndarray) -> np.ndarray:
     """Bipartite state with the given factors (env may be unnormalized)."""
-    if uses_stacked(model):
-        pops = np.diag(env_state).real
-        return np.array([p * sys_state for p in pops])
-    return kron(sys_state, env_state)
+    sys_state = np.asarray(sys_state, dtype=complex)
+    env_state = np.asarray(env_state, dtype=complex)
+    product = sys_state[..., None, None] * env_state[..., None, None, :, :]
+    return _from_env_blocks(model, np.einsum("...acef->...efac", product))
 
 
 def expect_system_projector(model: BipartiteModel, state: np.ndarray,
@@ -534,20 +556,12 @@ def resymmetrized(model: BipartiteModel, state: np.ndarray) -> np.ndarray:
 # structural checks
 # ---------------------------------------------------------------------------
 
-def _traceless_basis(d: int):
-    ops = []
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                m = np.zeros((d, d), dtype=complex)
-                m[i, j] = 1.0
-                ops.append(m)
-    for i in range(d - 1):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, i] = 1.0
-        m[i + 1, i + 1] = -1.0
-        ops.append(m)
-    return ops
+def _traceless_basis(d: int) -> np.ndarray:
+    """|i><j| for i != j, then |i><i| - |i+1><i+1|, along the first axis."""
+    eye = np.eye(d)
+    off = [np.outer(eye[i], eye[j]) for i in range(d) for j in range(d) if i != j]
+    diag = [np.diag(eye[i] - eye[i + 1]) for i in range(d - 1)]
+    return np.array(off + diag, dtype=complex)
 
 
 def check_bystander(model: BipartiteModel, t: float = 0.0,
@@ -556,28 +570,25 @@ def check_bystander(model: BipartiteModel, t: float = 0.0,
 
     Algebraic test: the composed map X -> Tr_s(L[X]) must annihilate every
     bipartite operator with vanishing system-partial trace.  Returns the
-    verdict and the worst-case residual over that kernel basis.
+    verdict and the worst-case residual over that kernel basis, the
+    traceless system basis times every environment operator the
+    representation holds (populations |c><c| when classical, every |i><j|
+    otherwise).  A non-finite residual raises.
     """
     gen = assemble_generator(model, t)
     ds, de = dims(model)
-    worst = 0.0
-    if uses_stacked(model):
-        for block in _traceless_basis(ds):
-            for c in range(de):
-                x = np.zeros((de, ds, ds), dtype=complex)
-                x[c] = block
-                image = unflatten_state(model, gen @ flatten_state(model, x))
-                worst = max(worst, max(abs(np.trace(b)) for b in image))
-        return worst < tol, worst
-    for sys_op in _traceless_basis(ds):
-        for i in range(de):
-            for j in range(de):
-                f = np.zeros((de, de), dtype=complex)
-                f[i, j] = 1.0
-                x = kron(sys_op, f)
-                image = unvec(gen @ vec(x), ds * de)
-                resid = np.abs(partial_trace(image, (ds, de), "environment")).max()
-                worst = max(worst, float(resid))
+    basis, eye = _traceless_basis(ds), np.eye(de)
+    pairs = ([(c, c) for c in range(de)] if uses_stacked(model)
+             else [(i, j) for i in range(de) for j in range(de)])
+    residuals = []
+    for i, j in pairs:
+        env_op = np.outer(eye[i], eye[j])
+        x = flatten_state(model, product_with_env(model, basis, env_op))
+        image = unflatten_state(model, (gen @ x.T).T)
+        residuals.append(np.abs(env_marginal(model, image)).max())
+    worst = float(np.max(residuals))
+    if not np.isfinite(worst):
+        raise NumericalDriftError(f"bystander residual is {worst}")
     return worst < tol, worst
 
 
@@ -587,11 +598,6 @@ def interaction_commutes(model: UnitaryModel,
     he_full = kron(np.eye(model.ds), model.he)
     comm = he_full @ model.hi - model.hi @ he_full
     return bool(np.abs(comm).max() < tol)
-
-
-def _env_blocks_of_unitary(u: np.ndarray, ds: int, de: int) -> np.ndarray:
-    """System-space blocks <e| U |e'> of a joint unitary."""
-    return u.reshape(ds, de, ds, de).transpose(1, 3, 0, 2)
 
 
 def random_unitary_decomposition(model: UnitaryModel, basis=None,
@@ -617,14 +623,10 @@ def random_unitary_decomposition(model: UnitaryModel, basis=None,
         u = matrix_exp(-1j * t * ht)
         return dag(to_basis) @ u @ to_basis
 
-    worst = 0.0
-    for t in check_times:
-        blocks = _env_blocks_of_unitary(joint_unitary(float(t)), ds, de)
-        for e in range(de):
-            for ep in range(de):
-                if e != ep:
-                    worst = max(worst, float(np.abs(blocks[e, ep]).max()))
-    if worst > tol:
+    off_block = ~np.eye(de, dtype=bool)
+    worst = max(np.abs(_env_blocks(model, joint_unitary(float(t)))[off_block])
+                .max(initial=0.0) for t in check_times)
+    if not worst <= tol:  # NaN fails
         raise InvariantViolation(
             "joint propagator is not block diagonal in the given basis "
             f"(off-block residual {worst:.2e} exceeds {tol:g})"
@@ -633,11 +635,8 @@ def random_unitary_decomposition(model: UnitaryModel, basis=None,
     weights = [float((k.conj() @ model.env0 @ k).real) for k in basis]
 
     def make_family(e: int):
-        def family(t: float) -> np.ndarray:
-            blocks = _env_blocks_of_unitary(joint_unitary(float(t)), ds, de)
-            w = blocks[e, e]
-            return conjugation_superop(w)
-        return family
+        return lambda t: conjugation_superop(
+            _env_blocks(model, joint_unitary(float(t)))[e, e])
 
     return [(weights[e], make_family(e)) for e in range(de)]
 
@@ -780,7 +779,9 @@ def _matrix_from_json(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise InvariantViolation("matrices must be nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # the model checks reject non-finite entries with one message
+    with np.errstate(invalid="ignore"):
+        return arr[..., 0] + 1j * arr[..., 1]
 
 
 def model_to_dict(model: BipartiteModel) -> dict:
@@ -850,6 +851,8 @@ def sine_modulation(amplitude: float, frequency: float):
     """Serializable slow-drive profile b(t) = amplitude * sin(frequency * t)."""
     if not 0 <= amplitude < 1:
         raise InvariantViolation("modulation amplitude must lie in [0, 1)")
+    if not np.isfinite(frequency):
+        raise InvariantViolation("modulation frequency must be finite")
 
     def b(t):
         return amplitude * np.sin(frequency * t)

@@ -85,7 +85,7 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     ----------
     rho : square array of size ds*de
     dims : (ds, de) factor dimensions, system first
-    keep : "system"/"s" keeps the first factor, "environment"/"e" the second
+    keep : "system" keeps the first factor, "environment" the second
     """
     ds, de = dims
     rho = np.asarray(rho)
@@ -94,9 +94,9 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
             f"operator shape {rho.shape} does not match dims {ds}x{de}"
         )
     r = rho.reshape(ds, de, ds, de)
-    if keep in ("system", "s"):
+    if keep == "system":
         return np.einsum("abcb->ac", r)
-    if keep in ("environment", "e"):
+    if keep == "environment":
         return np.einsum("abad->bd", r)
     raise InvariantViolation(f"unknown keep flag {keep!r}")
 
@@ -138,7 +138,7 @@ def kraus_superoperator(kraus, require_cptp: bool = False,
     d = kraus[0].shape[0]
     if require_cptp:
         comp = sum(dag(k) @ k for k in kraus)
-        if np.abs(comp - np.eye(d)).max() > tol:
+        if not np.abs(comp - np.eye(d)).max() <= tol:  # NaN fails
             raise InvariantViolation(
                 "Kraus completeness residual "
                 f"{np.abs(comp - np.eye(d)).max():.2e} exceeds {tol:g}"
@@ -156,13 +156,13 @@ def lindblad_superoperator(h: np.ndarray, jumps=()) -> np.ndarray:
     d = h.shape[0]
     if h.shape != (d, d):
         raise InvariantViolation("Hamiltonian must be square")
-    if np.abs(h - dag(h)).max() > HERMITIAN_TOL:
+    if not np.abs(h - dag(h)).max() <= HERMITIAN_TOL:  # NaN fails
         raise InvariantViolation("Hamiltonian is not Hermitian within 1e-10")
     eye = np.eye(d)
     gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for op, rate in jumps:
-        if rate < 0:
-            raise InvariantViolation(f"negative jump rate {rate}")
+        if not 0 <= rate < np.inf:  # NaN fails
+            raise InvariantViolation(f"jump rate {rate} is not finite and non-negative")
         op = np.asarray(op, dtype=complex)
         n = dag(op) @ op
         gen = gen + rate * (
@@ -202,18 +202,11 @@ def lift_env_superop(m: np.ndarray, ds: int, de: int) -> np.ndarray:
     return full.reshape(d2, d2)
 
 
-def trace_preservation_residual(s: np.ndarray, dim: int,
-                                generator: bool = True) -> float:
-    """Residual of the left trace functional under the adjoint map.
-
-    For a generator the functional must be annihilated; for a propagator it
-    must be a fixed point.
-    """
+def trace_preservation_residual(s: np.ndarray, dim: int) -> float:
+    """Residual of the left trace functional under the adjoint of a
+    generator, which must annihilate it."""
     tvec = vec(np.eye(dim, dtype=complex)).conj()
-    image = tvec @ s
-    if generator:
-        return float(np.abs(image).max())
-    return float(np.abs(image - tvec).max())
+    return float(np.abs(tvec @ s).max())
 
 
 def validate_density_matrix(rho: np.ndarray,

@@ -18,8 +18,9 @@ One engine, ``_cpf_tensors``, computes the joint tensors
 P[z, y, x] = Re Tr[Pi_z Phi_tau R_y Phi_t (Pi_x (x) rho_E)] for any set of
 (t, tau) pairs; the single-point, product-grid and equal-time functions are
 thin wrappers around it.  It carries the past states and the relays as
-matrices of flattened-state columns and reads every outcome with one
-matrix product.
+matrices of flattened-state columns, builds the relays of all past
+outcomes at once for each intermediate outcome, and reads every outcome
+with one matrix product.
 """
 
 from __future__ import annotations
@@ -195,19 +196,21 @@ def reference_measurements() -> tuple[np.ndarray, tuple]:
 # trace-distance witness
 # ---------------------------------------------------------------------------
 
-def _bound_terms(model, r, s) -> tuple:
-    """System trace distance, environment term and the two correlation terms
-    of one pair of bipartite states."""
+def _pairwise(dist, a, b) -> np.ndarray:
+    return np.array([dist(x, y) for x, y in zip(a, b)])
+
+
+def _bound_terms(model, r, s) -> np.ndarray:
+    """Rows: system trace distance, environment term and the two correlation
+    terms of the pairs of bipartite states along the leading axis."""
     sys_r, sys_s = models.sys_marginal(model, r), models.sys_marginal(model, s)
     env_r, env_s = models.env_marginal(model, r), models.env_marginal(model, s)
-    return (
-        trace_distance(sys_r, sys_s),
-        trace_distance(env_r, env_s),
-        models.bipartite_trace_distance(
-            model, r, models.product_with_env(model, sys_r, env_r)),
-        models.bipartite_trace_distance(
-            model, s, models.product_with_env(model, sys_s, env_s)),
-    )
+    prod_r = models.product_with_env(model, sys_r, env_r)
+    prod_s = models.product_with_env(model, sys_s, env_s)
+    corr = lambda a, b: models.bipartite_trace_distance(model, a, b)
+    return np.array([_pairwise(trace_distance, sys_r, sys_s),
+                     _pairwise(trace_distance, env_r, env_s),
+                     _pairwise(corr, r, prod_r), _pairwise(corr, s, prod_s)])
 
 
 def trace_distance_series(model, rho0s, sigma0s, env0=None,
@@ -229,14 +232,11 @@ def trace_distance_series(model, rho0s, sigma0s, env0=None,
     cache = stepping_cache(model, stepper)
     series_r = propagate(model, state_r, grid, stepper=stepper, cache=cache)
     series_s = propagate(model, state_s, grid, stepper=stepper, cache=cache)
-    pairs = zip(series_r, series_s)
     if with_bound_terms:
-        terms = np.array([_bound_terms(model, r, s) for r, s in pairs])
-        values, env_terms, corr_r, corr_s = terms.T
+        values, env_terms, corr_r, corr_s = _bound_terms(model, series_r, series_s)
     else:
-        values = np.array([trace_distance(models.sys_marginal(model, r),
-                                          models.sys_marginal(model, s))
-                           for r, s in pairs])
+        values = _pairwise(trace_distance, models.sys_marginal(model, series_r),
+                           models.sys_marginal(model, series_s))
         env_terms = corr_r = corr_s = None
     revivals = np.zeros(values.size, dtype=bool)
     revivals[:-1] = np.diff(values) > revival_tol
@@ -256,7 +256,8 @@ def trace_distance_bound(model, rho0s, sigma0s, env0, t: float, tau: float,
     s_t = propagate_interval(model, state_s, 0.0, t, step, cache)
     r_tt = propagate_interval(model, r_t, t, t + tau, step, cache)
     s_tt = propagate_interval(model, s_t, t, t + tau, step, cache)
-    d_t, env_term, corr_rho, corr_sigma = _bound_terms(model, r_t, s_t)
+    d_t, env_term, corr_rho, corr_sigma = _bound_terms(model, r_t[None],
+                                                       s_t[None])[:, 0]
     d_tt = trace_distance(models.sys_marginal(model, r_tt),
                           models.sys_marginal(model, s_tt))
     return BoundTerms(increment=d_tt - d_t, env_term=env_term,
@@ -289,7 +290,10 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus_per_t, scheme, policy,
 
     The nx conditioned past states are carried from one t to the next and
     the nx * ny relays from one tau to the next as flattened-state columns,
-    so each propagation spans one gap of the grid.  The row
+    so each propagation spans one gap of the grid.  At each t the relays of
+    intermediate outcome y are built for all past outcomes in one
+    ``env_after_projection`` (or ``env_marginal``) and one
+    ``product_with_env`` call.  The row
     conj(flatten(Pi_z (x) 1_E)) reads outcome z out of every relay; each
     readout is weighted by the policy (random scheme) or by one
     (deterministic scheme).
@@ -316,28 +320,26 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus_per_t, scheme, policy,
     tensors = np.empty((ts.size, taus_per_t.shape[1], nz, ny, nx))
     kets_x = spec_x.vectors.T
     pxs = np.array([(ket.conj() @ rho0s @ ket).real for ket in kets_x])
-    rows = np.array([models.flatten_state(model, models.product_with_env(
-        model, spec_z.projector(iz), np.eye(model.env_dim))).conj()
-        for iz in range(nz)])
-    columns = lambda states: np.stack(
-        [models.flatten_state(model, s) for s in states], axis=1)
-    past = columns(models.initial_state(model, projector(ket), env0)
-                   for ket in kets_x)
+    rows = models.flatten_state(model, models.product_with_env(
+        model, np.array([spec_z.projector(iz) for iz in range(nz)]),
+        np.eye(model.env_dim))).conj()
+    past = np.stack([models.flatten_state(model, models.initial_state(
+        model, projector(ket), env0)) for ket in kets_x], axis=1)
     prev_t = 0.0
     for it, t in enumerate(ts):
         past = advance(model, past, prev_t, t, step, cache)
         prev_t = t
-        relays = []
-        for ix in range(nx):
-            state_t = models.unflatten_state(model, past[:, ix])
-            if scheme == "r":
-                env_free = models.env_marginal(model, state_t)
-            for ket_y in spec_y.vectors.T:
-                env_mid = (env_free if scheme == "r" else
-                           models.env_after_projection(model, state_t, ket_y))
-                relays.append(models.product_with_env(
-                    model, projector(ket_y), env_mid))
-        relays = columns(relays)
+        states = models.unflatten_state(model, past.T)
+        if scheme == "r":
+            env_free = models.env_marginal(model, states)
+        # relays[:, ix, iy] is the flattened relay of outcomes (x, y)
+        relays = np.empty((past.shape[0], nx, ny), dtype=complex)
+        for iy in range(ny):
+            env_mid = (env_free if scheme == "r" else
+                       models.env_after_projection(model, states, spec_y.ket(iy)))
+            relays[:, :, iy] = models.flatten_state(model, models.product_with_env(
+                model, spec_y.projector(iy), env_mid)).T
+        relays = relays.reshape(-1, nx * ny)
         prev_tau = 0.0
         for itau, tau in enumerate(taus_per_t[it]):
             relays = advance(model, relays, t + prev_tau, t + tau, step, cache)

@@ -212,6 +212,59 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "'h_system'" in err
 
+    @staticmethod
+    def _assert_config_error(code, capsys):
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qflow: configuration error:")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["check-bystander"], ["td"], ["cpf"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag", ["--gamma", "--phi", "--omega"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameters_are_config_errors(self, command, flag, value,
+                                                     capsys):
+        self._assert_config_error(run(command + [flag, value]), capsys)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["check-bystander"], ["td"], ["cpf"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("make, path, value", [
+        (lambda rng: models.random_classical_mixture(rng),
+         ("parameters", "generators", 0, 1, 2, 0), float("nan")),
+        (lambda rng: models.random_stochastic_env(rng),
+         ("parameters", "jumps", 0, "rate"), float("nan")),
+        (lambda rng: models.random_stochastic_env(rng),
+         ("parameters", "jumps", 1, "rate"), float("inf")),
+        (lambda rng: models.random_quantum_bystander(rng),
+         ("parameters", "collisions", 0, "rate"), float("nan")),
+        (lambda rng: models.random_quantum_bystander(rng),
+         ("parameters", "collisions", 0, "op", 0, 1, 0), float("nan")),
+        (lambda rng: models.random_quantum_bystander(rng),
+         ("parameters", "env_generator", 0, 1, 1), float("inf")),
+        (lambda rng: models.random_unitary_model(rng),
+         ("parameters", "h_env", 0, 0, 0), float("nan")),
+        (lambda rng: models.DepolarizingModel(gamma=1.0, phi=1.0),
+         ("parameters", "gamma"), float("nan")),
+        (lambda rng: models.DepolarizingModel(gamma=1.0, phi=1.0, omega=0.5),
+         ("parameters", "omega"), float("inf")),
+    ], ids=["mixture-generator", "jump-rate-nan", "jump-rate-inf",
+            "collision-rate", "collision-op", "env-generator-inf", "unitary-h",
+            "depolarizing-gamma", "depolarizing-omega-inf"])
+    def test_non_finite_model_files_are_config_errors(self, command, make, path,
+                                                      value, tmp_path, capsys):
+        doc = models.model_to_dict(make(np.random.default_rng(5)))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")  # NaN, Infinity
+        self._assert_config_error(run(command + ["--model", str(model)]), capsys)
+
     @pytest.mark.parametrize("command", [["td"], ["cpf"], ["cpf", "--scheme", "r"]])
     def test_overflowing_rates_are_numeric_breach(self, command, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -32,6 +32,7 @@ from qflow.models import (
 )
 from qflow.qcore import (
     InvariantViolation,
+    NumericalDriftError,
     PAULI_OPS,
     apply_superop,
     kron,
@@ -172,6 +173,79 @@ class TestBystanderCheck:
                   random_quantum_bystander(rng, de=3)):
             ok, resid = check_bystander(m)
             assert ok, f"{type(m).__name__} residual {resid}"
+
+    # the check's kernel basis, written out: off-diagonal matrix units, then
+    # the differences of consecutive diagonal units
+    @staticmethod
+    def _traceless(ds):
+        ops = []
+        for i in range(ds):
+            for j in range(ds):
+                if i != j:
+                    ops.append(np.outer(np.eye(ds)[i], np.eye(ds)[j]))
+        for i in range(ds - 1):
+            ops.append(np.diag(np.eye(ds)[i] - np.eye(ds)[i + 1]))
+        return ops
+
+    def _reference_residual(self, m, gen):
+        """Worst environment-marginal residual, per label block (stacked)
+        or by partial trace over kron(B, |i><j|) (full)."""
+        ds, de = m.ds, m.env_dim
+        n = ds * ds
+        resid = []
+        for b in self._traceless(ds):
+            if models.uses_stacked(m):
+                for c in range(de):
+                    v = np.zeros(de * n, dtype=complex)
+                    v[c * n:(c + 1) * n] = vec(b)
+                    w = gen @ v
+                    resid += [abs(np.trace(unvec(w[k * n:(k + 1) * n], ds)))
+                              for k in range(de)]
+                continue
+            for i in range(de):
+                for j in range(de):
+                    x = kron(b, np.outer(np.eye(de)[i], np.eye(de)[j]))
+                    image = unvec(gen @ vec(x), ds * de)
+                    resid.append(np.abs(partial_trace(image, (ds, de),
+                                                      "environment")).max())
+        return max(resid)
+
+    INSTANCES = [
+        pytest.param(lambda rng: random_classical_mixture(rng, nc=3), id="mixture"),
+        pytest.param(lambda rng: random_stochastic_env(rng, nc=3), id="stochastic"),
+        pytest.param(lambda rng: random_quantum_bystander(rng, de=3), id="bystander"),
+        pytest.param(lambda rng: random_unitary_model(rng, de=3), id="unitary"),
+        pytest.param(lambda rng: DepolarizingModel(gamma=1.0, phi=0.6), id="depol"),
+        pytest.param(lambda rng: DepolarizingModel(gamma=1.0, phi=0.6, omega=1.5),
+                     id="depol-driven"),
+    ]
+
+    @pytest.mark.parametrize("make", INSTANCES)
+    def test_residual_matches_reference(self, make, monkeypatch):
+        rng = np.random.default_rng(31)
+        m = make(rng)
+        gen = assemble_generator(m)
+        ok, resid = check_bystander(m)
+        want = self._reference_residual(m, gen)
+        assert resid == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert ok == (resid < 1e-9)
+        # a generic generator on the same space gives O(1) residuals
+        d = gen.shape[0]
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        monkeypatch.setattr(models, "assemble_generator", lambda m, t=0.0: noise)
+        ok, resid = check_bystander(m)
+        assert not ok
+        assert resid == pytest.approx(self._reference_residual(m, noise),
+                                      rel=1e-12)
+
+    @pytest.mark.parametrize("make", INSTANCES[:1] + INSTANCES[2:3])
+    def test_nan_residual_raises(self, make, monkeypatch):
+        m = make(np.random.default_rng(32))
+        gen = np.array(assemble_generator(m))
+        gen[0, 0] = np.nan
+        monkeypatch.setattr(models, "assemble_generator", lambda m, t=0.0: gen)
+        with pytest.raises(NumericalDriftError):
+            check_bystander(m)
 
     def test_generic_unitary_fails(self):
         g = 1.0
@@ -375,6 +449,35 @@ class TestInvariantEnforcement:
         with pytest.raises(InvariantViolation):
             DepolarizingModel(gamma=0.0, phi=1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: DepolarizingModel(gamma=np.nan, phi=1.0),
+        lambda: DepolarizingModel(gamma=np.inf, phi=1.0),
+        lambda: DepolarizingModel(gamma=1.0, phi=np.nan),
+        lambda: DepolarizingModel(gamma=1.0, phi=1.0, omega=np.nan),
+        lambda: DepolarizingModel(gamma=1.0, phi=1.0, omega=np.inf),
+        lambda: DepolarizingModel(gamma=1.0, phi=1.0,
+                                  populations0=[np.nan, 0.0, 0.0, 1.0]),
+        lambda: EnvJump(src=0, dst=1, rate=np.nan, kraus=(np.eye(2),)),
+        lambda: EnvJump(src=0, dst=1, rate=np.inf, kraus=(np.eye(2),)),
+        lambda: EnvJump(src=0, dst=1, rate=0.5,
+                        kraus=(np.array([[np.nan, 0.0], [0.0, 1.0]]),)),
+        lambda: Collision(op=np.eye(2), rate=np.nan, kraus=(np.eye(2),)),
+        lambda: Collision(op=np.array([[np.nan, 0.0], [0.0, 1.0]]), rate=0.5,
+                          kraus=(np.eye(2),)),
+        lambda: ClassicalMixtureModel(lindblads=(np.full((4, 4), np.nan),),
+                                      weights=np.array([1.0])),
+        lambda: ClassicalMixtureModel(
+            lindblads=(np.zeros((4, 4)), np.zeros((4, 4))),
+            weights=np.array([np.nan, 1.0])),
+        lambda: StochasticEnvModel(lindblads=(np.zeros((4, 4)),), jumps=(),
+                                   populations0=np.array([np.nan])),
+        lambda: sine_modulation(0.5, np.nan),
+        lambda: sine_modulation(np.nan, 0.01),
+    ])
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(InvariantViolation):
+            build()
+
     def test_modulation_must_keep_rates_positive(self):
         m = DepolarizingModel(gamma=1.0, phi=1.0,
                               modulation=lambda t: 1.5 * np.sin(t))
@@ -462,6 +565,74 @@ class TestStateHelpers:
             want = np.trace(lift @ x).real
         assert models.expect_system_projector(m, x, ket) == pytest.approx(
             want, abs=1e-12)
+
+    @pytest.mark.parametrize("make, stacked", LAYOUTS)
+    def test_four_ops_against_references(self, make, stacked):
+        rng = np.random.default_rng(25)
+        m = make(rng)
+        ds, de = m.ds, m.env_dim
+        x = self._operator(rng, m, stacked)
+        ket = rng.normal(size=ds) + 1j * rng.normal(size=ds)
+        ket /= np.linalg.norm(ket)
+        sys_op = rng.normal(size=(ds, ds)) + 1j * rng.normal(size=(ds, ds))
+        env_op = rng.normal(size=(de, de)) + 1j * rng.normal(size=(de, de))
+        if stacked:
+            want_sys = x.sum(axis=0)
+            want_env = np.diag([np.trace(b) for b in x])
+            want_proj = np.diag([ket.conj() @ b @ ket for b in x])
+            want_prod = np.array([env_op[c, c] * sys_op for c in range(de)])
+        else:
+            lift = kron(np.outer(ket, ket.conj()), np.eye(de))
+            want_sys = partial_trace(x, (ds, de), "system")
+            want_env = partial_trace(x, (ds, de), "environment")
+            want_proj = partial_trace(lift @ x @ lift, (ds, de), "environment")
+            want_prod = kron(sys_op, env_op)
+        close = lambda got, want: np.abs(got - want).max() < 1e-12
+        assert close(models.sys_marginal(m, x), want_sys)
+        assert close(models.env_marginal(m, x), want_env)
+        assert close(models.env_after_projection(m, x, ket), want_proj)
+        assert close(models.product_with_env(m, sys_op, env_op), want_prod)
+
+    @pytest.mark.parametrize("make, stacked", LAYOUTS)
+    def test_leading_axis_matches_single_calls(self, make, stacked):
+        rng = np.random.default_rng(26)
+        m = make(rng)
+        ds, de = m.ds, m.env_dim
+        xs = np.array([self._operator(rng, m, stacked) for _ in range(3)])
+        ket = rng.normal(size=ds) + 1j * rng.normal(size=ds)
+        syss = rng.normal(size=(3, ds, ds)) + 1j * rng.normal(size=(3, ds, ds))
+        envs = rng.normal(size=(3, de, de)) + 1j * rng.normal(size=(3, de, de))
+        vs = np.array([models.flatten_state(m, x) for x in xs])
+        cases = [
+            (models.flatten_state(m, xs), vs),
+            (models.unflatten_state(m, vs),
+             [models.unflatten_state(m, v) for v in vs]),
+            (models.sys_marginal(m, xs), [models.sys_marginal(m, x) for x in xs]),
+            (models.env_marginal(m, xs), [models.env_marginal(m, x) for x in xs]),
+            (models.env_after_projection(m, xs, ket),
+             [models.env_after_projection(m, x, ket) for x in xs]),
+            (models.product_with_env(m, syss, envs),
+             [models.product_with_env(m, a, e) for a, e in zip(syss, envs)]),
+            # one factor shared across the leading axis
+            (models.product_with_env(m, syss[0], envs),
+             [models.product_with_env(m, syss[0], e) for e in envs]),
+        ]
+        for got, want in cases:
+            assert np.array_equal(got, np.array(want))
+
+    def test_stacked_ops_are_complex_linear(self):
+        # the stacked environment marginals used to keep only real parts
+        rng = np.random.default_rng(27)
+        m = random_stochastic_env(rng, nc=3)
+        x = self._operator(rng, m, True)
+        ket = np.array([0.6, 0.8j])
+        for op in (lambda s: models.env_marginal(m, s),
+                   lambda s: models.env_after_projection(m, s, ket)):
+            assert np.abs(op(x).imag).max() > 0.1
+            assert np.abs(op(1j * x) - 1j * op(x)).max() < 1e-14
+        env = np.diag([1.0 + 2.0j, 0.5j, -1.0])
+        prod = models.product_with_env(m, np.eye(2), env)
+        assert np.array_equal(prod, np.array([z * np.eye(2) for z in np.diag(env)]))
 
     def test_classical_env_rejects_coherences(self):
         m = DepolarizingModel(gamma=1.0, phi=1.0)

@@ -62,6 +62,11 @@ class TestPartialTrace:
         with pytest.raises(InvariantViolation):
             partial_trace(np.eye(4), (2, 3), "system")
 
+    @pytest.mark.parametrize("keep", ["s", "e", "env"])
+    def test_only_full_factor_names(self, keep):
+        with pytest.raises(InvariantViolation):
+            partial_trace(np.eye(4), (2, 2), keep)
+
 
 class TestTraceDistance:
     def test_identical(self):
