@@ -348,6 +348,14 @@ def cmd_validate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reports bad input as one stderr line, exit 2;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"qflow: configuration error: {message}\n")
+
+
 def _subcommand(sub, name: str, func, help: str, grid=None,
                 model: bool = False) -> argparse.ArgumentParser:
     """Subparser accepting only the flags ``func`` reads: ``--out`` and the
@@ -376,7 +384,7 @@ def _subcommand(sub, name: str, func, help: str, grid=None,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qflow",
         description="memory-effect witnesses for system-environment models",
     )

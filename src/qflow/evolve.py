@@ -194,8 +194,10 @@ def propagate(model, state0, grid: TimeGrid, stepper: str = "auto",
 # ---------------------------------------------------------------------------
 
 def _require_rates(gamma: float, phi: float) -> None:
-    if not (0 < gamma < np.inf and 0 < phi < np.inf):  # NaN fails
-        raise InvariantViolation("rates must be finite and positive")
+    if not (0 < gamma < np.inf and 0 < phi < np.inf
+            and gamma + phi < np.inf):  # NaN fails
+        raise InvariantViolation(f"rates gamma={gamma:g}, phi={phi:g} must be "
+                                 "finite and positive with a finite sum")
 
 
 def depolarizing_weight(gamma: float, phi: float, t):

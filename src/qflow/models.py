@@ -298,8 +298,11 @@ class DepolarizingModel:
     modulation: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if not (0 < self.gamma < np.inf and 0 < self.phi < np.inf):  # NaN fails
-            raise InvariantViolation("rates must be finite and positive")
+        if not (0 < self.gamma < np.inf and 0 < self.phi < np.inf
+                and self.gamma + self.phi < np.inf):  # NaN fails
+            raise InvariantViolation(
+                f"rates gamma={self.gamma:g}, phi={self.phi:g} must be finite "
+                "and positive with a finite sum")
         _check_rate(self.omega, "drive frequency")
         pops = self.populations0
         if pops is None:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qflow
 from qflow import cli, models
 from qflow.cli import main
 from qflow.witness import cpf_equal_times
@@ -170,6 +175,33 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["td", "--bogus", "1"],
+        ["td", "--tmax"],
+        ["cpf", "--gamma", "-inf"],
+        ["fig1a", "--phi-over-gamma", "abc"],
+        [],
+    ], ids=["unknown-flag", "missing-value", "negative-inf", "bad-list",
+            "no-subcommand"])
+    def test_parser_errors_are_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qflow: configuration error:")
+
+    def test_help_and_version_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"qflow {qflow.__version__}\n"
+        with pytest.raises(SystemExit) as exc:
+            run(["td", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qflow td")
+
     def test_validate_passes(self, tmp_path):
         out = tmp_path / "validate.txt"
         assert run(["validate", "--out", str(out)]) == 0
@@ -275,6 +307,28 @@ class TestExitCodes:
         assert captured.err.startswith("qflow: numeric invariant breached:")
         assert not out.exists()  # no row, so no NaN row, was written
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["td"], ["cpf"], ["cpf", "--scheme", "r"]])
+    def test_overflowing_exponential_is_one_line(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(command + ["--gamma", "1e200", "--phi", "1e200",
+                              "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert "matrix exponential" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["td"], ["cpf"], ["check-bystander"]])
+    def test_overflowing_rate_sum_names_the_rates(self, command, capsys):
+        # gamma + phi overflows; the error must not blame populations0
+        assert run(command + ["--gamma", "1e308", "--phi", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qflow: configuration error:")
+        assert "gamma=1e+308, phi=1e+308" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["fig1a", "--phi-over-gamma", "1e200"],
         ["fig2", "--omega-over-gamma", "1e200"],
@@ -287,3 +341,13 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("qflow: numeric invariant breached:")
         assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(qflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, qflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -228,6 +228,16 @@ class TestClosedForms:
         with pytest.raises(InvariantViolation):
             depolarizing_weight(-1.0, 1.0, 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("func", [
+        lambda: depolarizing_weight(1e308, 1e308, 0.5),
+        lambda: stationary_populations(1e308, 1e308),
+        lambda: DepolarizingModel(gamma=1e308, phi=1e308),
+    ], ids=["weight", "populations", "model"])
+    def test_overflowing_rate_sum_names_the_rates(self, func):
+        with pytest.raises(InvariantViolation, match="gamma=1e.308, phi=1e.308"):
+            func()
+
     def test_factor_at_zero(self):
         assert trace_distance_factor(1.0, 2.0, 0.0) == pytest.approx(1.0)
 

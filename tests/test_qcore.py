@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from qflow import models
 from qflow.qcore import (
     IDENTITY_2,
     InvariantViolation,
+    NumericalDriftError,
     PAULI_OPS,
     SIGMA_MINUS,
     SIGMA_X,
@@ -155,6 +158,77 @@ class TestMatrixExp:
         bad = np.array([[np.inf, 0.0], [0.0, 0.0]])
         with pytest.raises(InvariantViolation):
             matrix_exp(bad)
+
+
+# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3: the largest
+# 1-norms for Pade degrees 3, 5, 7, 9 and 13
+PADE_THETAS = (1.495585217958292e-2, 2.539398330063230e-1,
+               9.504178996162932e-1, 2.097847961257068e0, 5.371920351148152e0)
+
+
+def _exp_inputs():
+    """The generator of every model class (the stacked depolarizing one is
+    real) and a random real and complex matrix."""
+    rng = np.random.default_rng(11)
+    mats = {
+        "classical-mixture": models.random_classical_mixture(rng, nc=3),
+        "stochastic": models.random_stochastic_env(rng, nc=3),
+        "bystander": models.random_quantum_bystander(rng, de=3),
+        "unitary": models.random_unitary_model(rng),
+        "depolarizing": models.DepolarizingModel(gamma=1.0, phi=4.0),
+        "driven-depolarizing": models.DepolarizingModel(gamma=1.0, phi=1.0,
+                                                        omega=2.0),
+    }
+    mats = {k: models.assemble_generator(m) for k, m in mats.items()}
+    mats["random-real"] = rng.normal(size=(10, 10))
+    mats["random-complex"] = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    return mats
+
+
+EXP_INPUTS = _exp_inputs()
+
+
+class TestMatrixExpAgainstScipy:
+    @staticmethod
+    def _assert_matches(m):
+        ref = scipy.linalg.expm(m)
+        got = matrix_exp(m)
+        assert got.dtype == complex
+        assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("name", list(EXP_INPUTS))
+    def test_both_sides_of_each_degree_bound(self, name):
+        m = EXP_INPUTS[name]
+        norm = np.abs(m).sum(axis=0).max()
+        for theta in PADE_THETAS:
+            for side in (1 - 1e-9, 1 + 1e-9):
+                self._assert_matches(m * (theta * side / norm))
+
+    @pytest.mark.parametrize("name", list(EXP_INPUTS))
+    def test_deep_squaring(self, name):
+        # 1-norm 2^8 theta_13: eight squarings; each one doubles the
+        # rounding difference of two equally accurate kernels
+        m = EXP_INPUTS[name]
+        self._assert_matches(m * (2.0 ** 8 * PADE_THETAS[-1]
+                                  / np.abs(m).sum(axis=0).max()))
+
+    def test_zero_is_exact_complex_identity(self):
+        for dtype in (float, complex):
+            got = matrix_exp(np.zeros((4, 4), dtype=dtype))
+            assert got.dtype == complex
+            assert np.array_equal(got, np.eye(4, dtype=complex))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_overflow_is_numeric_breach_without_warnings(self, scale):
+        # exp(3 scale) overflows; at 1e308 the 1-norm itself does
+        with pytest.raises(NumericalDriftError, match="matrix exponential"):
+            matrix_exp(scale * np.ones((3, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_rejected(self):
+        with pytest.raises(InvariantViolation):
+            matrix_exp(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 class TestLindbladSuperoperator:
