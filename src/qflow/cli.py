@@ -223,6 +223,8 @@ def cmd_td(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    """Bound terms per grid point; the last row has no next point, so its
+    ``increment_next`` and ``slack_next`` are NaN (the only NaN cells)."""
     model = _resolve_model(args)
     grid = TimeGrid.regular(args.tmax, args.step)
     up, down = _preset_pair(model.ds)
@@ -358,16 +360,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _subcommand(sub, name: str, func, help: str, grid=None,
                 model: bool = False) -> argparse.ArgumentParser:
-    """Subparser accepting only the flags ``func`` reads: ``--out`` and the
-    ``--jobs`` no-op; the model flags when ``model``; ``--tmax``, ``--step``
-    and ``--seed``, all echoed by the CSV ``#`` line, when a ``(tmax, step)``
-    default ``grid`` is given."""
+    """Subparser accepting only the flags ``func`` reads: ``--out``; the
+    model flags when ``model``; ``--tmax``, ``--step`` and ``--seed``, all
+    echoed by the CSV ``#`` line, when a ``(tmax, step)`` default ``grid``
+    is given."""
     # no prefix matching: "fig2 --omega" must not mean --omega-over-gamma
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.set_defaults(func=func)
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="accepted for compatibility; has no effect")
     if model:
         p.add_argument("--gamma", type=float, default=1.0,
                        help="base decay rate (time unit anchor)")

@@ -2,9 +2,9 @@
 
 Time is measured in units of the inverse base rate throughout; the default
 grid step keeps the fastest rate resolved to one percent.  Every
-propagation steps flattened state columns, a vector or a D x k matrix,
-through :func:`advance`, and :func:`stepping_cache` alone decides how a
-model is stepped.  Time-independent generators are propagated with cached
+propagation steps flattened state columns through :func:`advance`, so a
+batch of states shares every propagator, and :func:`stepping_cache` alone
+decides how a model is stepped.  Time-independent generators use cached
 matrix exponentials; closed (unitary) models exponentiate their total
 Hamiltonian through one ``eigh`` in state space instead of the (ds de)^2
 superoperator.  Modulated rates fall back to classical fixed-step
@@ -49,9 +49,10 @@ class TimeGrid:
         times = np.asarray(self.times, dtype=float)
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
-        if times.ndim != 1 or times.size < 1 or times[0] < 0:
-            raise InvariantViolation("grid times must be non-negative scalars")
-        if times.size > 1 and np.diff(times).min() <= 0:
+        # written so that NaN fails both checks
+        if times.ndim != 1 or not np.all((0 <= times) & (times < np.inf)):
+            raise InvariantViolation("grid times must be finite and non-negative")
+        if times.size > 1 and not np.diff(times).min() > 0:
             raise InvariantViolation("grid times must increase strictly")
         if not self.step > 0:
             raise InvariantViolation("grid step must be positive")
@@ -103,19 +104,15 @@ class PropagatorCache:
         return self._cache[key]
 
 
-def stepping_cache(model, stepper: str = "auto",
-                   cache: Optional[PropagatorCache] = None):
-    """Propagator cache to step the model with (``cache`` when given), or
-    None for RK4.  ``stepper`` is "auto" (exponentials when the generator
-    is constant), "expm", or "rk4"."""
-    if stepper not in ("auto", "expm", "rk4"):
+def stepping_cache(model, stepper: str = "auto"):
+    """Propagator cache to step the model with, or None for RK4.
+    ``stepper`` is "auto" (exponentials when the generator is constant) or
+    "rk4"."""
+    if stepper not in ("auto", "rk4"):
         raise InvariantViolation(f"unknown stepper {stepper!r}")
-    time_dep = models.is_time_dependent(model)
-    if stepper == "expm" and time_dep:
-        raise InvariantViolation("modulated rates require stepped integration")
-    if time_dep or stepper == "rk4":
+    if models.is_time_dependent(model) or stepper == "rk4":
         return None
-    return cache if cache is not None else PropagatorCache.for_model(model)
+    return PropagatorCache.for_model(model)
 
 
 def _rk4_span(model, v: np.ndarray, t0: float, t1: float,
@@ -151,40 +148,46 @@ def advance(model, v: np.ndarray, t0: float, t1: float,
     return cache.at(t1 - t0) @ v
 
 
+def _columns(model, states) -> np.ndarray:
+    """States, with any leading batch axes, as the columns of a D x k matrix."""
+    v = models.flatten_state(model, states)
+    return v.reshape(-1, v.shape[-1]).T
+
+
 def propagate_interval(model, state, t0: float, t1: float,
-                       step: Optional[float] = None,
-                       cache: Optional[PropagatorCache] = None):
-    """Evolve one bipartite state from t0 to t1 (absolute times)."""
-    v = advance(model, models.flatten_state(model, state), t0, t1, step,
-                stepping_cache(model, cache=cache))
-    return models.unflatten_state(model, v)
+                       step: Optional[float] = None):
+    """Evolve bipartite states, with any leading batch axes, from t0 to t1
+    (absolute times)."""
+    v = advance(model, _columns(model, state), t0, t1, step,
+                stepping_cache(model))
+    return models.unflatten_state(model, v.T).reshape(np.shape(state))
 
 
-def propagate(model, state0, grid: TimeGrid, stepper: str = "auto",
-              cache: Optional[PropagatorCache] = None):
-    """State series over the grid; shape (nt, ...) in the model representation.
+def propagate(model, state0, grid: TimeGrid, stepper: str = "auto"):
+    """State series over the grid, shape (nt,) + the shape of ``state0``,
+    whose leading batch axes are stepped as the columns of one matrix.
 
-    ``stepper`` is "auto" (exponentials when the generator is constant),
-    "expm", or "rk4".  ``cache`` lets several propagations of one model
-    share their exponentials; RK4 ignores it.  Trace drift beyond 1e-8 (or
-    a non-finite trace) raises; states are re-symmetrized at every point
-    but never re-normalized.
+    ``stepper`` is "auto" (exponentials when the generator is constant) or
+    "rk4".  Trace drift of any state beyond 1e-8 (or a non-finite trace)
+    raises; states are re-symmetrized at every point, never re-normalized.
     """
-    cache = stepping_cache(model, stepper, cache)
+    cache = stepping_cache(model, stepper)
     trace0 = models.state_trace(model, state0)
-    v = models.flatten_state(model, state0)
+    v = _columns(model, state0)
     out = []
     prev_t = 0.0
     for t in grid.times:
         v = advance(model, v, prev_t, t, grid.step, cache)
-        state = models.resymmetrized(model, models.unflatten_state(model, v))
-        drift = abs(models.state_trace(model, state) - trace0)
+        state = models.resymmetrized(model, models.unflatten_state(
+            model, v.T).reshape(np.shape(state0)))
+        # the worst state; a NaN trace makes the maximum NaN and fails
+        drift = np.max(np.abs(models.state_trace(model, state) - trace0))
         if not drift <= TRACE_DRIFT_TOL:
             raise NumericalDriftError(
                 f"trace drift {drift:.2e} at t={t:g} exceeds {TRACE_DRIFT_TOL:g}"
             )
         out.append(state)
-        v = models.flatten_state(model, state)
+        v = _columns(model, state)
         prev_t = t
     return np.array(out)
 

@@ -511,8 +511,9 @@ def unflatten_state(model: BipartiteModel, v: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape[:-1] + _state_shape(model)).swapaxes(-1, -2)
 
 
-def state_trace(model: BipartiteModel, state: np.ndarray) -> float:
-    return float(np.trace(state, axis1=-2, axis2=-1).real.sum())
+def state_trace(model: BipartiteModel, state: np.ndarray):
+    """Trace of each state along the leading batch axes."""
+    return np.einsum("...aa->...", sys_marginal(model, state)).real
 
 
 def sys_marginal(model: BipartiteModel, state: np.ndarray) -> np.ndarray:

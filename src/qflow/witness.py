@@ -1,8 +1,8 @@
 """Non-Markovianity diagnostics.
 
-Two witnesses are provided.  The distinguishability witness tracks the
-trace distance between two system states evolved from different initial
-conditions (same initial environment), flags revivals, and evaluates the
+Two witnesses are provided.  The distinguishability witness propagates
+two system preparations on one initial environment as one pair of states,
+tracks the trace distance between them, flags revivals, and evaluates the
 triangle-inequality bound that splits a revival into an environment-change
 term plus two system-environment correlation terms.
 
@@ -220,18 +220,15 @@ def trace_distance_series(model, rho0s, sigma0s, env0=None,
                           stepper: str = "auto") -> TdTrace:
     """Distinguishability of two system preparations over a time grid.
 
-    Both preparations share the initial environment state ``env0`` (the
-    model default when omitted).
+    Both preparations share the initial environment ``env0`` (the model
+    default when omitted) and are propagated together as one pair.
     """
     if grid is None:
         raise InvariantViolation("a TimeGrid is required")
-    validate_density_matrix(rho0s)
-    validate_density_matrix(sigma0s)
-    state_r = models.initial_state(model, rho0s, env0)
-    state_s = models.initial_state(model, sigma0s, env0)
-    cache = stepping_cache(model, stepper)
-    series_r = propagate(model, state_r, grid, stepper=stepper, cache=cache)
-    series_s = propagate(model, state_s, grid, stepper=stepper, cache=cache)
+    pair = np.array([models.initial_state(model, rho0s, env0),
+                     models.initial_state(model, sigma0s, env0)])
+    series = propagate(model, pair, grid, stepper=stepper)
+    series_r, series_s = series[:, 0], series[:, 1]
     if with_bound_terms:
         values, env_terms, corr_r, corr_s = _bound_terms(model, series_r, series_s)
     else:
@@ -247,19 +244,16 @@ def trace_distance_series(model, rho0s, sigma0s, env0=None,
 def trace_distance_bound(model, rho0s, sigma0s, env0, t: float, tau: float,
                          step: Optional[float] = None) -> BoundTerms:
     """Evaluate the revival bound between times t and t + tau."""
-    if tau <= 0 or t < 0:
-        raise InvariantViolation("need t >= 0 and tau > 0")
-    state_r = models.initial_state(model, rho0s, env0)
-    state_s = models.initial_state(model, sigma0s, env0)
-    cache = stepping_cache(model)
-    r_t = propagate_interval(model, state_r, 0.0, t, step, cache)
-    s_t = propagate_interval(model, state_s, 0.0, t, step, cache)
-    r_tt = propagate_interval(model, r_t, t, t + tau, step, cache)
-    s_tt = propagate_interval(model, s_t, t, t + tau, step, cache)
-    d_t, env_term, corr_rho, corr_sigma = _bound_terms(model, r_t[None],
-                                                       s_t[None])[:, 0]
-    d_tt = trace_distance(models.sys_marginal(model, r_tt),
-                          models.sys_marginal(model, s_tt))
+    # written so that NaN fails; a finite t + tau keeps both finite
+    if not (0 <= t and 0 < tau and t + tau < np.inf):
+        raise InvariantViolation("need finite t >= 0 and tau > 0")
+    pair = np.array([models.initial_state(model, rho0s, env0),
+                     models.initial_state(model, sigma0s, env0)])
+    pair_t = propagate_interval(model, pair, 0.0, t, step)
+    pair_tt = propagate_interval(model, pair_t, t, t + tau, step)
+    d_t, env_term, corr_rho, corr_sigma = _bound_terms(model, pair_t[:1],
+                                                       pair_t[1:])[:, 0]
+    d_tt = trace_distance(*models.sys_marginal(model, pair_tt))
     return BoundTerms(increment=d_tt - d_t, env_term=env_term,
                       corr_rho=corr_rho, corr_sigma=corr_sigma)
 
@@ -313,9 +307,9 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus_per_t, scheme, policy,
         raise InvariantViolation(f"unknown scheme {scheme!r}")
     ts = np.asarray(ts, dtype=float)
     taus_per_t = np.asarray(taus_per_t, dtype=float)
-    # written so that NaN fails the check
-    if not (np.all(ts >= 0) and np.all(taus_per_t >= 0)):
-        raise InvariantViolation("times t and tau must be non-negative")
+    _check_increasing(ts, "ts")
+    for taus in taus_per_t:
+        _check_increasing(taus, "taus")
     cache = stepping_cache(model)
     tensors = np.empty((ts.size, taus_per_t.shape[1], nz, ny, nx))
     kets_x = spec_x.vectors.T
@@ -410,9 +404,10 @@ def markov_factorization_gap(tensor: np.ndarray) -> float:
 
 
 def _check_increasing(values: np.ndarray, label: str) -> None:
-    if values.size and values[0] < 0:
-        raise InvariantViolation(f"{label} must be non-negative")
-    if values.size > 1 and np.diff(values).min() <= 0:
+    # written so that NaN fails both checks
+    if not np.all((0 <= values) & (values < np.inf)):
+        raise InvariantViolation(f"{label} must be finite and non-negative")
+    if values.size > 1 and not np.diff(values).min() > 0:
         raise InvariantViolation(f"{label} must increase strictly")
 
 
@@ -432,8 +427,6 @@ def cpf_grid(model, rho0s, env0, specs, ts, taus, scheme: str = "d",
     """Past-future correlations over the product grid of ts and taus."""
     ts = np.asarray(ts, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    _check_increasing(ts, "ts")
-    _check_increasing(taus, "taus")
     tensors = _cpf_tensors(model, rho0s, env0, specs, ts,
                            np.broadcast_to(taus, (ts.size, taus.size)),
                            scheme, policy, step)

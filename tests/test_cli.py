@@ -89,14 +89,6 @@ class TestDeterminism:
                         "--out", str(path), "--seed", "7"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(["fig1b", "--tmax", "1", "--step", "0.05",
-                    "--out", str(a), "--jobs", "1"]) == 0
-        assert run(["fig1b", "--tmax", "1", "--step", "0.05",
-                    "--out", str(b), "--jobs", "3"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestSweepCommands:
     def test_td_monotone_static(self, tmp_path):
@@ -114,6 +106,16 @@ class TestSweepCommands:
         _, header, data = read_csv(out)
         slack = data[:-1, header.index("slack_next")]
         assert slack.min() > -1e-9
+
+    def test_bound_nan_cells_are_the_last_row_next_terms(self, tmp_path):
+        # the last grid point has no next point, as the README documents
+        out = tmp_path / "bound.csv"
+        assert run(["bound", "--out", str(out)]) == 0
+        _, header, data = read_csv(out)
+        rows, cols = np.nonzero(np.isnan(data))
+        assert set(zip(rows, cols)) == {
+            (data.shape[0] - 1, header.index("increment_next")),
+            (data.shape[0] - 1, header.index("slack_next"))}
 
     def test_bound_slack_on_exchange_model(self, tmp_path):
         path = tmp_path / "exchange.json"
@@ -168,6 +170,7 @@ class TestExitCodes:
         ["validate", "--step", "0.1"],
         ["check-bystander", "--tmax", "1"],
         ["check-bystander", "--seed", "3"],
+        ["fig1b", "--jobs", "2"],
     ])
     def test_flags_a_command_ignores_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

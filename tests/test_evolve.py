@@ -22,12 +22,15 @@ from qflow.models import (
     DepolarizingModel,
     commuting_interaction_preset,
     exchange_preset,
+    random_classical_mixture,
+    random_quantum_bystander,
     random_stochastic_env,
     random_unitary_model,
     sine_modulation,
 )
 from qflow.qcore import (
     InvariantViolation,
+    NumericalDriftError,
     PAULI_OPS,
     matrix_exp,
     random_density_matrix,
@@ -44,6 +47,18 @@ class TestTimeGrid:
     def test_rejects_decreasing(self):
         with pytest.raises(InvariantViolation):
             TimeGrid(times=np.array([0.0, 0.5, 0.4]), step=0.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("times", [
+        pytest.param([0.0, np.nan, 1.0], id="nan-inside"),
+        pytest.param([np.nan], id="nan"),
+        pytest.param([0.0, np.inf], id="inf-last"),
+        pytest.param([np.inf], id="inf"),
+        pytest.param([-1.0, 0.0], id="negative"),
+    ])
+    def test_rejects_non_finite_or_negative_times(self, times):
+        with pytest.raises(InvariantViolation):
+            TimeGrid(times=np.array(times), step=0.1)
 
     def test_default_step(self):
         assert default_step(1.0, 4.0) == pytest.approx(0.0025)
@@ -124,6 +139,25 @@ class TestExponentialCount:
                                       grid=TimeGrid.regular(1.0, 0.25))
         assert len(expm_calls) == 1  # one gap, shared by both preparations
 
+    def test_modulated_series_steps_the_pair_once(self, monkeypatch):
+        # the two preparations are columns of one RK4 propagation, so each
+        # substep assembles the generator four times, not eight
+        calls = []
+        assemble = models.assemble_generator
+
+        def counting(model, t=0.0):
+            calls.append(t)
+            return assemble(model, t)
+
+        monkeypatch.setattr(models, "assemble_generator", counting)
+        m = DepolarizingModel(gamma=1.0, phi=1.0,
+                              modulation=sine_modulation(0.3, 0.5))
+        grid = TimeGrid(times=np.array([0.0, 0.5, 1.0]), step=0.1)
+        witness.trace_distance_series(m, np.diag([1.0, 0.0]),
+                                      np.diag([0.0, 1.0]), grid=grid)
+        substeps = 2 * 5  # two gaps of 0.5 at step 0.1
+        assert len(calls) == 4 * substeps
+
 
 class TestPropagate:
     def test_zero_generator_constant(self):
@@ -172,10 +206,16 @@ class TestPropagate:
         rho0 = random_density_matrix(rng, 2)
         state = models.initial_state(m, rho0)
         grid = TimeGrid.regular(1.5, default_step(1.0, 0.8))
-        exp_series = propagate(m, state, grid, stepper="expm")
+        exp_series = propagate(m, state, grid)
         rk_series = propagate(m, state, grid, stepper="rk4")
         err = models.bipartite_trace_distance(m, exp_series[-1], rk_series[-1])
         assert err < 1e-8
+
+    def test_stepper_is_auto_or_rk4(self):
+        m = DepolarizingModel(gamma=1.0, phi=0.8)
+        state = models.initial_state(m, np.diag([1.0, 0.0]))
+        with pytest.raises(InvariantViolation):
+            propagate(m, state, TimeGrid.regular(1.0, 0.5), stepper="expm")
 
     @pytest.mark.parametrize("preset", [exchange_preset,
                                         commuting_interaction_preset])
@@ -208,6 +248,59 @@ class TestPropagate:
         with pytest.raises(NumericalDriftError):
             propagate(m, models.initial_state(m, rho0),
                       TimeGrid.regular(5.0, 0.5), stepper="rk4")
+
+
+BATCH_MODELS = [pytest.param(make, id=name) for name, make in (
+    ("classical_mixture", lambda rng: random_classical_mixture(rng, nc=3)),
+    ("stochastic_env", lambda rng: random_stochastic_env(rng, nc=3)),
+    ("quantum_bystander", lambda rng: random_quantum_bystander(rng, de=3)),
+    ("unitary", lambda rng: random_unitary_model(rng, de=3)),
+    ("depolarizing", lambda rng: DepolarizingModel(gamma=1.0, phi=0.7)),
+    ("depolarizing_driven", lambda rng: DepolarizingModel(gamma=1.0, phi=0.7,
+                                                          omega=1.5)),
+    ("depolarizing_modulated", lambda rng: DepolarizingModel(
+        gamma=1.0, phi=0.7, modulation=sine_modulation(0.3, 0.5))),
+)]
+
+
+class TestBatchPropagation:
+    """States with a leading batch axis are stepped as the columns of one
+    matrix and agree with one propagation per state."""
+
+    @staticmethod
+    def _pair(make):
+        rng = np.random.default_rng(31)
+        m = make(rng)
+        pair = np.array([models.initial_state(m, random_density_matrix(rng, 2))
+                         for _ in range(2)])
+        return m, pair
+
+    @pytest.mark.parametrize("stepper", ["auto", "rk4"])
+    @pytest.mark.parametrize("make", BATCH_MODELS)
+    def test_propagate_matches_single_states(self, make, stepper):
+        m, pair = self._pair(make)
+        grid = TimeGrid(times=np.array([0.0, 0.3, 0.7, 1.0]), step=0.05)
+        batch = propagate(m, pair, grid, stepper=stepper)
+        assert batch.shape == (grid.times.size,) + pair.shape
+        for i, state in enumerate(pair):
+            single = propagate(m, state, grid, stepper=stepper)
+            assert np.abs(batch[:, i] - single).max() < 1e-14
+
+    @pytest.mark.parametrize("make", BATCH_MODELS)
+    def test_propagate_interval_matches_single_states(self, make):
+        m, pair = self._pair(make)
+        batch = propagate_interval(m, pair, 0.2, 0.9, step=0.05)
+        assert batch.shape == pair.shape
+        for i, state in enumerate(pair):
+            single = propagate_interval(m, state, 0.2, 0.9, step=0.05)
+            assert np.abs(batch[i] - single).max() < 1e-14
+
+    @pytest.mark.parametrize("stepper", ["auto", "rk4"])
+    def test_drift_is_checked_per_state(self, stepper):
+        m, pair = self._pair(lambda rng: random_stochastic_env(rng, nc=3))
+        pair[1].flat[0] = np.nan
+        with pytest.raises(NumericalDriftError):
+            propagate(m, pair, TimeGrid.regular(1.0, 0.5), stepper=stepper)
 
 
 class TestClosedForms:

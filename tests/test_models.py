@@ -607,6 +607,7 @@ class TestStateHelpers:
             (models.flatten_state(m, xs), vs),
             (models.unflatten_state(m, vs),
              [models.unflatten_state(m, v) for v in vs]),
+            (models.state_trace(m, xs), [models.state_trace(m, x) for x in xs]),
             (models.sys_marginal(m, xs), [models.sys_marginal(m, x) for x in xs]),
             (models.env_marginal(m, xs), [models.env_marginal(m, x) for x in xs]),
             (models.env_after_projection(m, xs, ket),

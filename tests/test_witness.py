@@ -284,11 +284,36 @@ class TestMarkovGap:
 
 
 # Every CPF entry point goes through one validation: an unknown scheme, a
-# policy whose shape is not (nx, ny) and a negative or NaN time are
-# configuration errors, raised before any propagation.
+# policy whose shape is not (nx, ny) and a negative, infinite or NaN time
+# are configuration errors, raised before any propagation.  The
+# trace-distance entry points reject the same times, on static and on
+# modulated models alike.
 _POL33 = RandomSchemePolicy.uniform(3, 3)
 _POL23 = RandomSchemePolicy.uniform(2, 3)
-BAD_CPF_CALLS = [pytest.param(call, id=name) for name, call in (
+_DOWN = np.diag([0.0, 1.0])
+_MODULATED = DepolarizingModel(gamma=1.0, phi=1.0,
+                               modulation=models.sine_modulation(0.3, 0.2))
+NON_FINITE_TIME_CALLS = (
+    ("series-inf-t", lambda m, r, s: trace_distance_series(
+        m, r, _DOWN, grid=TimeGrid(times=[0.0, np.inf], step=0.1))),
+    ("bound-inf-t", lambda m, r, s: trace_distance_bound(m, r, _DOWN, None,
+                                                         np.inf, 0.5)),
+    ("bound-inf-tau", lambda m, r, s: trace_distance_bound(m, r, _DOWN, None,
+                                                           0.5, np.inf)),
+    ("bound-overflowing-sum", lambda m, r, s: trace_distance_bound(
+        m, r, _DOWN, None, 1e308, 1e308)),
+    ("bound-nan-t", lambda m, r, s: trace_distance_bound(m, r, _DOWN, None,
+                                                         np.nan, 0.5)),
+    ("bound-nan-tau", lambda m, r, s: trace_distance_bound(m, r, _DOWN, None,
+                                                           0.5, np.nan)),
+    ("grid-inf-t", lambda m, r, s: cpf_grid(m, r, None, s, [np.inf], [0.4])),
+    ("grid-inf-tau", lambda m, r, s: cpf_grid(m, r, None, s, [0.5], [np.inf])),
+    ("equal-inf-t", lambda m, r, s: cpf_equal_times(m, r, None, s,
+                                                    [0.0, np.inf])),
+    ("random-inf-tau", lambda m, r, s: cpf_joint_random(m, r, None, s, None,
+                                                        0.5, np.inf)),
+)
+BAD_CALLS = [pytest.param(call, id=name) for name, call in (
     ("grid-scheme", lambda m, r, s: cpf_grid(m, r, None, s, [0.5], [0.4], "x")),
     ("equal-scheme", lambda m, r, s: cpf_equal_times(m, r, None, s, [0.5], "x")),
     ("grid-policy-3x3", lambda m, r, s: cpf_grid(m, r, None, s, [0.5], [0.4],
@@ -318,7 +343,10 @@ BAD_CPF_CALLS = [pytest.param(call, id=name) for name, call in (
                                                            -0.5, 0.5)),
     ("random-negative-tau", lambda m, r, s: cpf_joint_random(m, r, None, s, None,
                                                              0.5, -0.5)),
-)]
+) + NON_FINITE_TIME_CALLS] + [
+    pytest.param(lambda m, r, s, call=call: call(_MODULATED, r, s),
+                 id=f"modulated-{name}")
+    for name, call in NON_FINITE_TIME_CALLS]
 
 
 class TestGridEvaluators:
@@ -350,7 +378,8 @@ class TestGridEvaluators:
         with pytest.raises(InvariantViolation):
             cpf_equal_times(m, rho0s, None, specs, [1.0, 0.5])
 
-    @pytest.mark.parametrize("call", BAD_CPF_CALLS)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", BAD_CALLS)
     def test_every_entry_point_rejects_bad_configuration(self, call):
         m = DepolarizingModel(gamma=1.0, phi=1.0)
         rho0s, specs = reference_measurements()
