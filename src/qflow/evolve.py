@@ -9,7 +9,9 @@ matrix exponentials; closed (unitary) models exponentiate their total
 Hamiltonian through one ``eigh`` in state space instead of the (ds de)^2
 superoperator.  Modulated rates fall back to classical fixed-step
 fourth-order integration, chosen over adaptive stepping so outputs are
-bitwise reproducible.
+bitwise reproducible.  RK4 assembles its generators as one stack per
+block of substeps, in which each distinct stage time (a substep's start,
+midpoint and end, the end being the next start) appears once.
 """
 
 from __future__ import annotations
@@ -64,10 +66,15 @@ class TimeGrid:
         if not (np.isfinite(t_max) and t_max >= 0):
             raise InvariantViolation(
                 f"grid end time {t_max!r} must be finite and non-negative")
-        n = int(round(t_max / step))
-        if abs(n * step - t_max) > 1e-9 * max(1.0, t_max):
-            n = int(np.ceil(t_max / step))
-        return cls(times=np.arange(n + 1) * step, step=step)
+        try:
+            n = int(round(t_max / step))
+            if abs(n * step - t_max) > 1e-9 * max(1.0, t_max):
+                n = int(np.ceil(t_max / step))
+            times = np.arange(n + 1) * step
+        except (OverflowError, ValueError, MemoryError) as exc:
+            raise InvariantViolation(f"grid to {t_max:g} at step {step:g} has "
+                                     "too many points to allocate") from exc
+        return cls(times=times, step=step)
 
 
 @dataclass
@@ -115,23 +122,43 @@ def stepping_cache(model, stepper: str = "auto"):
     return PropagatorCache.for_model(model)
 
 
+# entries in the stack of stage generators one RK4 block holds, which keeps
+# its memory small: 63 generators, the stage times of 31 substeps, at D = 16
+_RK4_STACK_ENTRIES = 2 ** 14
+
+
 def _rk4_span(model, v: np.ndarray, t0: float, t1: float,
               step: Optional[float] = None) -> np.ndarray:
-    """Fixed-step integration of flattened state columns from t0 to t1."""
+    """Fixed-step integration of flattened state columns from t0 to t1.
+
+    A substep from t to t + h needs the generator at t, t + h/2 and t + h,
+    and its end is the next substep's start, so one ``assemble_generator``
+    call per block of m substeps builds the 2 m + 1 distinct stage times.
+    The times come from one running sum, so every substep sees the same
+    generators, bit for bit, as with one assembly per stage.
+    """
     if step is None:
         # modulated rates stay below twice the base
         step = default_step(2.0 * max(model.gamma, model.phi), model.omega)
     n = max(1, int(np.ceil((t1 - t0) / step - 1e-12)))
     h = (t1 - t0) / n
-    gen_at = lambda t: models.assemble_generator(model, t)
+    block = max(1, (_RK4_STACK_ENTRIES // v.shape[0] ** 2 - 1) // 2)
     t = t0
-    for _ in range(n):
-        k1 = gen_at(t) @ v
-        k2 = gen_at(t + 0.5 * h) @ (v + 0.5 * h * k1)
-        k3 = gen_at(t + 0.5 * h) @ (v + 0.5 * h * k2)
-        k4 = gen_at(t + h) @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+    for first in range(0, n, block):
+        m = min(block, n - first)
+        times = np.empty(2 * m + 1)
+        for i in range(m):
+            times[2 * i] = t
+            times[2 * i + 1] = t + 0.5 * h
+            t += h
+        times[2 * m] = t
+        gens = models.assemble_generator(model, times)
+        for g_start, g_mid, g_end in zip(gens[0:-1:2], gens[1::2], gens[2::2]):
+            k1 = g_start @ v
+            k2 = g_mid @ (v + 0.5 * h * k1)
+            k3 = g_mid @ (v + 0.5 * h * k2)
+            k4 = g_end @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return v
 
 
@@ -324,7 +351,7 @@ def solve_channel_coefficients(gamma: float, phi: float, populations0,
         if modulation is None:
             return gamma * a_gamma + phi * a_phi
         b = float(modulation(t))
-        if abs(b) >= 1.0:
+        if not abs(b) < 1.0:  # NaN fails
             raise InvariantViolation("modulation must stay inside (-1, 1)")
         return gamma * (1 + b) * a_gamma + phi * (1 - b) * a_phi
 
@@ -380,7 +407,7 @@ def adiabatic_weight(gamma: float, phi: float, b, t, populations0=None):
         )
     t = np.asarray(t, dtype=float)
     bt = np.asarray(b(t) if callable(b) else b, dtype=float)
-    if np.any(np.abs(bt) >= 1.0):
+    if not np.all(np.abs(bt) < 1.0):  # NaN fails
         raise InvariantViolation("modulation must stay inside (-1, 1)")
     if populations0 is None:
         populations0 = stationary_populations_vector(gamma, phi)

@@ -289,13 +289,16 @@ class DepolarizingModel:
     ingredients: a slow rate modulation ``gamma(t) = gamma*(1 + b(t))``,
     ``phi(t) = phi*(1 - b(t))``, and a coherent environment drive of
     frequency ``omega`` coupling the 4-th level to the other three.
+
+    ``modulation`` receives an array of times and must act elementwise,
+    returning ``b`` at each of them (a scalar time is a 0-d array).
     """
 
     gamma: float
     phi: float
     populations0: np.ndarray = None
     omega: float = 0.0
-    modulation: Optional[Callable[[float], float]] = None
+    modulation: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not (0 < self.gamma < np.inf and 0 < self.phi < np.inf
@@ -322,12 +325,25 @@ class DepolarizingModel:
     def env_dim(self) -> int:
         return 4
 
-    def rates_at(self, t: float) -> tuple[float, float]:
+    def rates_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Rates ``(gamma(t), phi(t))`` elementwise over a time or an array
+        of times, calling the modulation once on the array."""
+        t = np.asarray(t, dtype=float)
         if self.modulation is None:
-            return self.gamma, self.phi
-        b = float(self.modulation(t))
-        if abs(b) >= 1.0:
-            raise InvariantViolation(f"|b({t})| = {abs(b)} must stay below 1")
+            b = np.zeros(t.shape)
+        else:
+            try:
+                b = np.broadcast_to(
+                    np.asarray(self.modulation(t), dtype=float), t.shape)
+            except (TypeError, ValueError) as exc:
+                raise InvariantViolation(
+                    f"modulation must act elementwise on an array of times: {exc}"
+                ) from exc
+            outside = ~(np.abs(b) < 1.0)  # NaN is outside
+            if outside.any():
+                i = np.flatnonzero(outside)[0]
+                raise InvariantViolation(f"|b({t.flat[i]})| = {abs(b.flat[i])} "
+                                         "must stay below 1")
         return self.gamma * (1.0 + b), self.phi * (1.0 - b)
 
 
@@ -396,8 +412,22 @@ def _depolarizing_full_generator(gamma: float, phi: float, omega: float) -> np.n
     return lindblad_superoperator(kron(np.eye(2), he), jumps)
 
 
-def assemble_generator(model: BipartiteModel, t: float = 0.0) -> np.ndarray:
-    """Generator acting on the flattened representation at time ``t``."""
+def assemble_generator(model: BipartiteModel, t=0.0) -> np.ndarray:
+    """Generator acting on the flattened representation at time ``t``.
+
+    An array of times gives the stack of generators, shape
+    ``t.shape + (D, D)``; a modulation is called once, on the array.  A
+    time-independent model returns a read-only broadcast view of its one
+    generator.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim and not is_time_dependent(model):
+        gen = _generator(model, np.asarray(0.0))
+        return np.broadcast_to(gen, t.shape + gen.shape)
+    return _generator(model, t)
+
+
+def _generator(model: BipartiteModel, t: np.ndarray) -> np.ndarray:
     if isinstance(model, (ClassicalMixtureModel, StochasticEnvModel)):
         # a mixture is a stochastic environment without jumps
         ds, nc = model.ds, model.env_dim
@@ -414,11 +444,16 @@ def assemble_generator(model: BipartiteModel, t: float = 0.0) -> np.ndarray:
         return gen
     if isinstance(model, DepolarizingModel):
         gamma_t, phi_t = model.rates_at(t)
-        if gamma_t <= 0 or phi_t <= 0:
+        if not (np.all(gamma_t > 0) and np.all(phi_t > 0)):  # NaN fails
             raise InvariantViolation("modulated rates must stay positive")
         if uses_stacked(model):
-            return gamma_t * _DEPOL_GAMMA_PART + phi_t * _DEPOL_PHI_PART
-        return _depolarizing_full_generator(gamma_t, phi_t, model.omega)
+            return (gamma_t[..., None, None] * _DEPOL_GAMMA_PART
+                    + phi_t[..., None, None] * _DEPOL_PHI_PART)
+        d = (model.ds * model.env_dim) ** 2
+        return np.array([
+            _depolarizing_full_generator(g, f, model.omega)
+            for g, f in zip(gamma_t.flat, phi_t.flat)
+        ]).reshape(t.shape + (d, d))
     if isinstance(model, QuantumBystanderModel):
         ds, de = dims(model)
         d = ds * de
@@ -852,7 +887,8 @@ def model_to_dict(model: BipartiteModel) -> dict:
 
 
 def sine_modulation(amplitude: float, frequency: float):
-    """Serializable slow-drive profile b(t) = amplitude * sin(frequency * t)."""
+    """Serializable slow-drive profile b(t) = amplitude * sin(frequency * t),
+    elementwise over an array of times."""
     if not 0 <= amplitude < 1:
         raise InvariantViolation("modulation amplitude must lie in [0, 1)")
     if not np.isfinite(frequency):

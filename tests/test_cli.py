@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,21 @@ class TestExitCodes:
     ])
     def test_bad_grid_is_config_error(self, argv, capsys):
         assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qflow: configuration error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["td", "--tmax", "1e300"],
+        ["td", "--tmax", "1e12", "--step", "1"],
+    ], ids=["too-many-points", "grid-too-large"])
+    def test_unallocatable_grid_is_config_error(self, argv, capsys):
+        # the grid's allocation fails at once, so the peak resident size
+        # (KiB on Linux) does not grow by anything near the grid's size
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert run(argv) == 2
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 2 ** 16
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1

@@ -140,13 +140,15 @@ class TestExponentialCount:
         assert len(expm_calls) == 1  # one gap, shared by both preparations
 
     def test_modulated_series_steps_the_pair_once(self, monkeypatch):
-        # the two preparations are columns of one RK4 propagation, so each
-        # substep assembles the generator four times, not eight
+        # the two preparations are columns of one RK4 propagation, and each
+        # substep's start, midpoint and end are assembled once, the end
+        # being the next start: 2 n + 1 stage times per gap of n substeps,
+        # against twice that if the pair were stepped separately
         calls = []
         assemble = models.assemble_generator
 
         def counting(model, t=0.0):
-            calls.append(t)
+            calls.append(np.size(t))
             return assemble(model, t)
 
         monkeypatch.setattr(models, "assemble_generator", counting)
@@ -155,8 +157,86 @@ class TestExponentialCount:
         grid = TimeGrid(times=np.array([0.0, 0.5, 1.0]), step=0.1)
         witness.trace_distance_series(m, np.diag([1.0, 0.0]),
                                       np.diag([0.0, 1.0]), grid=grid)
-        substeps = 2 * 5  # two gaps of 0.5 at step 0.1
-        assert len(calls) == 4 * substeps
+        substeps = 5  # per gap of 0.5 at step 0.1
+        assert sum(calls) == 2 * (2 * substeps + 1)
+
+
+class TestRk4Blocks:
+    """``_rk4_span`` assembles a block of stage generators per call and
+    matches the classic four-assembly RK4 bit for bit."""
+
+    MODELS = [pytest.param(make, id=name) for name, make in (
+        ("modulated", lambda rng: DepolarizingModel(
+            gamma=1.0, phi=0.7, modulation=sine_modulation(0.4, 0.9))),
+        ("modulated_driven", lambda rng: DepolarizingModel(
+            gamma=1.0, phi=0.7, omega=1.5, modulation=sine_modulation(0.4, 0.9))),
+        ("static", lambda rng: random_stochastic_env(rng, nc=3)),
+    )]
+    STEP, T0 = 0.01, 0.3
+
+    @staticmethod
+    def classic_rk4(model, v, t0, t1, step):
+        n = max(1, int(np.ceil((t1 - t0) / step - 1e-12)))
+        h = (t1 - t0) / n
+        t = t0
+        for _ in range(n):
+            k1 = models.assemble_generator(model, t) @ v
+            k2 = models.assemble_generator(model, t + 0.5 * h) @ (v + 0.5 * h * k1)
+            k3 = models.assemble_generator(model, t + 0.5 * h) @ (v + 0.5 * h * k2)
+            k4 = models.assemble_generator(model, t + h) @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        return v, n
+
+    @staticmethod
+    def block_of(d):
+        return max(1, (evolve._RK4_STACK_ENTRIES // d ** 2 - 1) // 2)
+
+    @pytest.mark.parametrize("make", MODELS)
+    @pytest.mark.parametrize("columns", [(), (3,)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("substeps", [
+        pytest.param(lambda block: max(1, block // 2), id="part-block"),
+        pytest.param(lambda block: block, id="one-block"),
+        pytest.param(lambda block: 2 * block + 3, id="blocks-and-remainder"),
+    ])
+    def test_matches_classic_rk4_bitwise(self, make, columns, substeps):
+        rng = np.random.default_rng(41)
+        m = make(rng)
+        d = np.size(models.assemble_generator(m), 0)
+        n = substeps(self.block_of(d))
+        v = rng.normal(size=(d,) + columns) + 1j * rng.normal(size=(d,) + columns)
+        t1 = self.T0 + n * self.STEP
+        want, n_classic = self.classic_rk4(m, v, self.T0, t1, self.STEP)
+        assert n_classic == n
+        got = evolve._rk4_span(m, v, self.T0, t1, self.STEP)
+        assert np.array_equal(got, want)
+
+    def test_one_assembly_per_block(self, monkeypatch):
+        sizes = []
+        assemble = models.assemble_generator
+
+        def counting(model, t=0.0):
+            sizes.append(np.size(t))
+            return assemble(model, t)
+
+        monkeypatch.setattr(models, "assemble_generator", counting)
+        m = DepolarizingModel(gamma=1.0, phi=0.7,
+                              modulation=sine_modulation(0.4, 0.9))
+        block = self.block_of(16)
+        n = 2 * block + 3
+        evolve._rk4_span(m, np.ones(16, dtype=complex), self.T0,
+                         self.T0 + n * self.STEP, self.STEP)
+        assert block == 31  # a stack of 63 generators, at most 2^14 entries
+        assert sizes == [2 * block + 1, 2 * block + 1, 2 * 3 + 1]
+
+    @pytest.mark.parametrize("value", [1.0, np.nan], ids=["reaches-one", "nan"])
+    def test_bad_modulation_inside_a_span_raises(self, value):
+        # a NaN rate would otherwise surface only as trace drift
+        m = DepolarizingModel(gamma=1.0, phi=1.0,
+                              modulation=lambda t: np.where(t > 0.35, value, 0.2))
+        state = models.initial_state(m, np.diag([1.0, 0.0]))
+        with pytest.raises(InvariantViolation):
+            propagate(m, state, TimeGrid(times=np.array([0.0, 0.5]), step=0.1))
 
 
 class TestPropagate:
@@ -400,6 +480,15 @@ class TestChannelCoefficients:
         w = coeffs.weight()
         for j in range(3):
             assert np.abs(coeffs.channel_column(j) - (1 - w) / 3.0).max() < 1e-9
+
+    @pytest.mark.parametrize("value", [1.0, np.nan], ids=["reaches-one", "nan"])
+    def test_bad_modulation_raises(self, value):
+        b = lambda t: np.where(t > 0.35, value, 0.2)
+        with pytest.raises(InvariantViolation):
+            solve_channel_coefficients(1.0, 1.0, np.full(4, 0.25),
+                                       TimeGrid.regular(0.5, 0.1), modulation=b)
+        with pytest.raises(InvariantViolation):
+            adiabatic_weight(1.0, 1.0, b, np.array([0.0, 0.5]))
 
 
 class TestAdiabaticWeight:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -121,6 +123,65 @@ class TestAssembleGenerator:
             else:
                 d = m.ds * m.env_dim
                 assert trace_preservation_residual(gen, d) < 1e-9
+
+
+STACK_MODELS = [pytest.param(make, id=name) for name, make in (
+    ("classical_mixture", lambda rng: random_classical_mixture(rng, nc=3)),
+    ("stochastic_env", lambda rng: random_stochastic_env(rng, nc=3)),
+    ("quantum_bystander", lambda rng: random_quantum_bystander(rng, de=3)),
+    ("unitary", lambda rng: random_unitary_model(rng, de=3)),
+    ("depolarizing", lambda rng: DepolarizingModel(gamma=1.0, phi=0.7)),
+    ("depolarizing_driven", lambda rng: DepolarizingModel(gamma=1.0, phi=0.7,
+                                                          omega=1.5)),
+    ("depolarizing_modulated", lambda rng: DepolarizingModel(
+        gamma=1.0, phi=0.7, modulation=sine_modulation(0.4, 0.9))),
+    ("depolarizing_modulated_driven", lambda rng: DepolarizingModel(
+        gamma=1.0, phi=0.7, omega=1.5, modulation=sine_modulation(0.4, 0.9))),
+)]
+
+
+class TestGeneratorStack:
+    """An array of times gives the stack of the per-time generators."""
+
+    TIMES = np.array([0.0, 0.13, 0.5, 1.7, 2.25, 40.0])
+
+    @pytest.mark.parametrize("make", STACK_MODELS)
+    def test_stack_matches_per_time_calls(self, make):
+        m = make(np.random.default_rng(31))
+        got = assemble_generator(m, self.TIMES)
+        want = np.stack([assemble_generator(m, t) for t in self.TIMES])
+        assert got.shape == self.TIMES.shape + want.shape[1:]
+        assert np.array_equal(got, want)
+        if not models.is_time_dependent(m):
+            assert not got.flags.writeable  # one generator, broadcast
+            assert np.array_equal(got[0], assemble_generator(m))
+
+    def test_modulated_rates_keep_their_arithmetic(self):
+        # gamma (1 + b) and phi (1 - b) on Python floats, as per-time
+        # assembly has always computed them
+        b = sine_modulation(0.4, 0.9)
+        m = DepolarizingModel(gamma=1.0, phi=0.7, modulation=b)
+        gens = assemble_generator(m, self.TIMES)
+        for t, gen in zip(self.TIMES, gens):
+            bt = float(b(float(t)))
+            want = (1.0 * (1.0 + bt) * models._DEPOL_GAMMA_PART
+                    + 0.7 * (1.0 - bt) * models._DEPOL_PHI_PART)
+            assert np.array_equal(gen, want)
+
+    @pytest.mark.parametrize("modulation", [
+        pytest.param(lambda t: np.where(t > 0.5, 1.0, 0.2), id="reaches-one"),
+        pytest.param(lambda t: np.where(t > 0.5, -1.5, 0.2), id="below-minus-one"),
+        pytest.param(lambda t: np.where(t > 0.5, np.nan, 0.2), id="nan"),
+        pytest.param(lambda t: 0.3 * math.sin(t), id="scalar-only"),
+        pytest.param(lambda t: 0.3 if t < 0.5 else 0.2, id="branching"),
+        pytest.param(lambda t: np.zeros(2), id="wrong-shape"),
+    ])
+    @pytest.mark.parametrize("omega", [0.0, 1.5], ids=["stacked", "driven"])
+    def test_bad_modulation_inside_a_block_raises(self, modulation, omega):
+        m = DepolarizingModel(gamma=1.0, phi=1.0, omega=omega,
+                              modulation=modulation)
+        with pytest.raises(InvariantViolation):
+            assemble_generator(m, np.linspace(0.0, 1.0, 11))
 
 
 class TestStochasticEnv:
