@@ -4,14 +4,17 @@ Time is measured in units of the inverse base rate throughout; the default
 grid step keeps the fastest rate resolved to one percent.  Every
 propagation steps flattened state columns through :func:`advance`, so a
 batch of states shares every propagator, and :func:`stepping_cache` alone
-decides how a model is stepped.  Time-independent generators use cached
-matrix exponentials; closed (unitary) models exponentiate their total
-Hamiltonian through one ``eigh`` in state space instead of the (ds de)^2
-superoperator.  Modulated rates fall back to classical fixed-step
+decides how a model is stepped.  A series loop only steps and stores the
+columns; re-symmetrization and the trace-drift check then run over the
+stored series, a block of times at a time.  Time-independent generators
+use cached matrix exponentials; closed (unitary) models exponentiate their
+total Hamiltonian through one ``eigh`` in state space instead of the
+(ds de)^2 superoperator.  Modulated rates fall back to classical fixed-step
 fourth-order integration, chosen over adaptive stepping so outputs are
 bitwise reproducible.  RK4 assembles its generators as one stack per
 block of substeps, in which each distinct stage time (a substep's start,
-midpoint and end, the end being the next start) appears once.
+midpoint and end, the end being the next start) appears once, and refuses
+a span of more than ``_RK4_MAX_SUBSTEPS`` substeps before stepping it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .qcore import (
     conjugation_superop,
     lindblad_superoperator,
     matrix_exp,
-    unvec,
     vec,
 )
 
@@ -126,6 +128,11 @@ def stepping_cache(model, stepper: str = "auto"):
 # its memory small: 63 generators, the stage times of 31 substeps, at D = 16
 _RK4_STACK_ENTRIES = 2 ** 14
 
+# most substeps one RK4 span may take, about five minutes of stepping a pair
+# of states at D = 16 (2 cores, OpenBLAS); the longest span in the tests and
+# CLI defaults takes 7,500.  A longer span is refused before any stepping.
+_RK4_MAX_SUBSTEPS = 10 ** 7
+
 
 def _rk4_span(model, v: np.ndarray, t0: float, t1: float,
               step: Optional[float] = None) -> np.ndarray:
@@ -135,12 +142,18 @@ def _rk4_span(model, v: np.ndarray, t0: float, t1: float,
     and its end is the next substep's start, so one ``assemble_generator``
     call per block of m substeps builds the 2 m + 1 distinct stage times.
     The times come from one running sum, so every substep sees the same
-    generators, bit for bit, as with one assembly per stage.
+    generators, bit for bit, as with one assembly per stage.  A span of more
+    than ``_RK4_MAX_SUBSTEPS`` substeps raises InvariantViolation.
     """
     if step is None:
         # modulated rates stay below twice the base
         step = default_step(2.0 * max(model.gamma, model.phi), model.omega)
-    n = max(1, int(np.ceil((t1 - t0) / step - 1e-12)))
+    span = (t1 - t0) / step
+    if not span <= _RK4_MAX_SUBSTEPS:  # NaN fails
+        raise InvariantViolation(
+            f"span {t0:g} to {t1:g} needs {span:.3g} RK4 substeps of {step:g}, "
+            f"more than {_RK4_MAX_SUBSTEPS:g}")
+    n = max(1, int(np.ceil(span - 1e-12)))
     h = (t1 - t0) / n
     block = max(1, (_RK4_STACK_ENTRIES // v.shape[0] ** 2 - 1) // 2)
     t = t0
@@ -190,33 +203,48 @@ def propagate_interval(model, state, t0: float, t1: float,
     return models.unflatten_state(model, v.T).reshape(np.shape(state))
 
 
+# entries of the block of states that ``propagate`` re-symmetrizes and
+# checks at once, which keeps its temporaries at about 64 kB beside the
+# series it returns
+_SERIES_BLOCK_ENTRIES = 2 ** 12
+
+
 def propagate(model, state0, grid: TimeGrid, stepper: str = "auto"):
     """State series over the grid, shape (nt,) + the shape of ``state0``,
     whose leading batch axes are stepped as the columns of one matrix.
 
     ``stepper`` is "auto" (exponentials when the generator is constant) or
-    "rk4".  Trace drift of any state beyond 1e-8 (or a non-finite trace)
-    raises; states are re-symmetrized at every point, never re-normalized.
+    "rk4".  The loop only steps the columns and stores them; the stored
+    series is then re-symmetrized in place and checked, a block of times at
+    a time, so the symmetrized states are outputs only.  Trace drift of any
+    state beyond 1e-8 (or a non-finite trace) raises, naming the first such
+    time; states are never re-normalized.
     """
     cache = stepping_cache(model, stepper)
-    trace0 = models.state_trace(model, state0)
     v = _columns(model, state0)
-    out = []
+    flat = np.empty((grid.times.size,) + v.T.shape, dtype=complex)
     prev_t = 0.0
-    for t in grid.times:
+    for i, t in enumerate(grid.times):
         v = advance(model, v, prev_t, t, grid.step, cache)
-        state = models.resymmetrized(model, models.unflatten_state(
-            model, v.T).reshape(np.shape(state0)))
-        # the worst state; a NaN trace makes the maximum NaN and fails
-        drift = np.max(np.abs(models.state_trace(model, state) - trace0))
-        if not drift <= TRACE_DRIFT_TOL:
-            raise NumericalDriftError(
-                f"trace drift {drift:.2e} at t={t:g} exceeds {TRACE_DRIFT_TOL:g}"
-            )
-        out.append(state)
-        v = _columns(model, state)
+        flat[i] = v.T
         prev_t = t
-    return np.array(out)
+    states = models.unflatten_state(model, flat).reshape(
+        grid.times.shape + np.shape(state0))
+    trace0 = models.state_trace(model, state0)
+    drift = np.empty(grid.times.size)
+    block = max(1, _SERIES_BLOCK_ENTRIES // v.size)
+    for first in range(0, grid.times.size, block):
+        part = states[first:first + block]
+        part[...] = models.resymmetrized(model, part)
+        # the worst state per time; a NaN trace makes the maximum NaN
+        dev = np.abs(models.state_trace(model, part) - trace0)
+        drift[first:first + block] = dev.reshape(len(part), -1).max(axis=1)
+    bad = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NumericalDriftError(f"trace drift {drift[i]:.2e} at "
+                                  f"t={grid.times[i]:g} exceeds {TRACE_DRIFT_TOL:g}")
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +374,11 @@ def solve_channel_coefficients(gamma: float, phi: float, populations0,
     g[3::4] = pops  # g[k, identity] = p_k(0)
     a_gamma = _coefficient_matrix(1.0, 0.0)
     a_phi = _coefficient_matrix(0.0, 1.0)
+    a_fixed = gamma * a_gamma + phi * a_phi
 
     def a_at(t: float) -> np.ndarray:
         if modulation is None:
-            return gamma * a_gamma + phi * a_phi
+            return a_fixed
         b = float(modulation(t))
         if not abs(b) < 1.0:  # NaN fails
             raise InvariantViolation("modulation must stay inside (-1, 1)")
@@ -448,13 +477,13 @@ def coherent_weight_series(gamma: float, phi: float, omega: float,
     env = np.zeros((4, 4), dtype=complex)
     env[3, 3] = 1.0
     v = vec(env)
-    times = grid.times
-    out = np.empty(times.size)
+    level4 = np.empty(grid.times.size, dtype=complex)
     prev_t = 0.0
-    for i, t in enumerate(times):
+    for i, t in enumerate(grid.times):
         v = advance(None, v, prev_t, t, cache=cache)
+        level4[i] = v[15]  # <4|env|4>, entry 3 + 4 * 3 of the stacked columns
         prev_t = t
-        out[i] = unvec(v, 4)[3, 3].real
+    out = level4.real
     if not np.isfinite(out).all():
         raise NumericalDriftError(
             f"level-4 population is not finite at omega={omega:g}")

@@ -533,12 +533,16 @@ def _from_env_blocks(model: BipartiteModel, blocks: np.ndarray) -> np.ndarray:
     return state.reshape(blocks.shape[:-4] + _state_shape(model))
 
 
+def _batch_shape(model: BipartiteModel, state: np.ndarray) -> tuple:
+    """Leading batch axes of states in the model representation."""
+    return state.shape[:state.ndim - len(_state_shape(model))]
+
+
 def flatten_state(model: BipartiteModel, state: np.ndarray) -> np.ndarray:
     """Column-stacked state; a stack of blocks is the concatenation of the
     column-stacked blocks.  Leading batch axes are kept."""
     state = np.asarray(state)
-    batch = state.shape[:state.ndim - len(_state_shape(model))]
-    return state.swapaxes(-1, -2).reshape(batch + (-1,))
+    return state.swapaxes(-1, -2).reshape(_batch_shape(model, state) + (-1,))
 
 
 def unflatten_state(model: BipartiteModel, v: np.ndarray) -> np.ndarray:
@@ -547,8 +551,11 @@ def unflatten_state(model: BipartiteModel, v: np.ndarray) -> np.ndarray:
 
 
 def state_trace(model: BipartiteModel, state: np.ndarray):
-    """Trace of each state along the leading batch axes."""
-    return np.einsum("...aa->...", sys_marginal(model, state)).real
+    """Trace of each state along the leading batch axes: the sum of the
+    diagonals of its one matrix or of its stack of blocks."""
+    state = np.asarray(state)
+    diagonal = np.einsum("...aa->...a", state)
+    return diagonal.reshape(_batch_shape(model, state) + (-1,)).sum(-1).real
 
 
 def sys_marginal(model: BipartiteModel, state: np.ndarray) -> np.ndarray:
@@ -580,11 +587,14 @@ def expect_system_projector(model: BipartiteModel, state: np.ndarray,
     return float((ket.conj() @ sys_marginal(model, state) @ ket).real)
 
 
-def bipartite_trace_distance(model: BipartiteModel, a: np.ndarray,
-                             b: np.ndarray) -> float:
-    """Trace distance of two bipartite states; stacked states are
-    block diagonal in the environment labels."""
-    return trace_distance(a, b)
+def bipartite_trace_distance(model: BipartiteModel, a: np.ndarray, b: np.ndarray):
+    """Trace distance of each pair of bipartite states along the leading
+    batch axes; a stacked state is block diagonal in the environment labels,
+    so the distances of its blocks add."""
+    a = np.asarray(a)
+    out = np.asarray(trace_distance(a, b))
+    out = out.reshape(_batch_shape(model, a) + (-1,)).sum(-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def resymmetrized(model: BipartiteModel, state: np.ndarray) -> np.ndarray:

@@ -48,8 +48,13 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dag)/2 of each trailing square block."""
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    """Hermitian part (A + A^dag)/2 of each trailing square block, built in
+    one new array."""
+    a = np.asarray(a)
+    out = np.conjugate(a.swapaxes(-1, -2), dtype=np.result_type(a, 0.5))
+    out += a
+    out *= 0.5
+    return out
 
 
 def projector(ket: np.ndarray) -> np.ndarray:
@@ -102,9 +107,10 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     raise InvariantViolation(f"unknown keep flag {keep!r}")
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of the Hermitian difference of two states; a
-    stack of square blocks counts as their block-diagonal sum."""
+def trace_distance(rho: np.ndarray, sigma: np.ndarray):
+    """Half the trace norm of the Hermitian difference of two states: a float
+    for two matrices, one value per pair along the leading axes of two
+    stacks, from one batched ``eigvalsh``."""
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
@@ -112,7 +118,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
             f"dimension mismatch: {rho.shape} vs {sigma.shape}"
         )
     eigs = np.linalg.eigvalsh(hermitize(rho - sigma))
-    return 0.5 * float(np.abs(eigs).sum(axis=-1).sum())
+    out = 0.5 * np.abs(eigs).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def _pade_rows(b):

@@ -14,13 +14,19 @@ resampled from a stochastic policy and the environment is left
 unconditioned.  A nonzero random-scheme correlation certifies that the
 environment actually responds to the system.
 
-One engine, ``_cpf_tensors``, computes the joint tensors
-P[z, y, x] = Re Tr[Pi_z Phi_tau R_y Phi_t (Pi_x (x) rho_E)] for any set of
-(t, tau) pairs; the single-point, product-grid and equal-time functions are
-thin wrappers around it.  It carries the past states and the relays as
-matrices of flattened-state columns, builds the relays of all past
-outcomes at once for each intermediate outcome, and reads every outcome
-with one matrix product.
+Both witnesses evaluate a whole grid at once: the loops only step state
+columns, and the trace distances, tensor checks and correlations run on
+the stacked results.  One engine, ``_cpf_tensors``, computes the joint
+tensors P[z, y, x] = Re Tr[Pi_z Phi_tau R_y Phi_t (Pi_x (x) rho_E)] on a
+product grid of (t, tau) or on the equal-time diagonal; the single-point,
+product-grid and equal-time functions are thin wrappers around it.  It
+steps the past states once along the ts and builds the relays of a block
+of ts at once.  For a time-independent model it reads outcome z at
+(t, tau) as (rows @ Phi(tau)) . relay(t): the readout rows
+conj(flatten(Pi_z (x) 1_E)) are carried once across the gaps of the taus,
+and one matrix product per block reads the product grid and the diagonal
+alike, with no exponential per t.  Modulated rates step each t's relays
+across its taus, since their RK4 stages sit at absolute times.
 """
 
 from __future__ import annotations
@@ -196,10 +202,6 @@ def reference_measurements() -> tuple[np.ndarray, tuple]:
 # trace-distance witness
 # ---------------------------------------------------------------------------
 
-def _pairwise(dist, a, b) -> np.ndarray:
-    return np.array([dist(x, y) for x, y in zip(a, b)])
-
-
 def _bound_terms(model, r, s) -> np.ndarray:
     """Rows: system trace distance, environment term and the two correlation
     terms of the pairs of bipartite states along the leading axis."""
@@ -207,10 +209,9 @@ def _bound_terms(model, r, s) -> np.ndarray:
     env_r, env_s = models.env_marginal(model, r), models.env_marginal(model, s)
     prod_r = models.product_with_env(model, sys_r, env_r)
     prod_s = models.product_with_env(model, sys_s, env_s)
-    corr = lambda a, b: models.bipartite_trace_distance(model, a, b)
-    return np.array([_pairwise(trace_distance, sys_r, sys_s),
-                     _pairwise(trace_distance, env_r, env_s),
-                     _pairwise(corr, r, prod_r), _pairwise(corr, s, prod_s)])
+    return np.array([trace_distance(sys_r, sys_s), trace_distance(env_r, env_s),
+                     models.bipartite_trace_distance(model, r, prod_r),
+                     models.bipartite_trace_distance(model, s, prod_s)])
 
 
 def trace_distance_series(model, rho0s, sigma0s, env0=None,
@@ -232,8 +233,8 @@ def trace_distance_series(model, rho0s, sigma0s, env0=None,
     if with_bound_terms:
         values, env_terms, corr_r, corr_s = _bound_terms(model, series_r, series_s)
     else:
-        values = _pairwise(trace_distance, models.sys_marginal(model, series_r),
-                           models.sys_marginal(model, series_s))
+        values = trace_distance(models.sys_marginal(model, series_r),
+                                models.sys_marginal(model, series_s))
         env_terms = corr_r = corr_s = None
     revivals = np.zeros(values.size, dtype=bool)
     revivals[:-1] = np.diff(values) > revival_tol
@@ -263,33 +264,74 @@ def trace_distance_bound(model, rho0s, sigma0s, env0, t: float, tau: float,
 # ---------------------------------------------------------------------------
 
 def _check_tensor(p: np.ndarray) -> np.ndarray:
+    """Joint tensors P[z, y, x] along any leading axes: no entry below
+    -1e-10, every tensor summing to one within 1e-9."""
     # written so that a NaN entry fails both comparisons
-    if not p.min() >= -TENSOR_NEGATIVITY_TOL:
+    low = p.min(initial=np.inf)
+    if not low >= -TENSOR_NEGATIVITY_TOL:
         raise NumericalDriftError(
-            f"joint probability {p.min():.2e} below -{TENSOR_NEGATIVITY_TOL:g}"
+            f"joint probability {low:.2e} below -{TENSOR_NEGATIVITY_TOL:g}"
         )
-    total = p.sum()
-    if not abs(total - 1.0) <= TENSOR_NORM_TOL:
+    off = np.abs(p.sum(axis=(-3, -2, -1)) - 1.0).max(initial=0.0)
+    if not off <= TENSOR_NORM_TOL:
         raise NumericalDriftError(
-            f"joint tensor normalization off by {abs(total-1.0):.2e}"
+            f"joint tensor normalization off by {off:.2e}"
         )
     return p
 
 
-def _cpf_tensors(model, rho0s, env0, specs, ts, taus_per_t, scheme, policy,
-                 step) -> np.ndarray:
-    """Joint tensors P[z, y, x] at every (t, tau) pair, shape
-    (nt, ntau, nz, ny, nx); row ``it`` of ``taus_per_t`` holds the taus of
-    ``ts[it]``.
+# entries of the per-t intermediates one block of times holds in the CPF
+# engine (the system-environment products behind the relays, the relays and
+# their readouts), which keeps each at about 64 kB: 15 times of the stacked
+# depolarizing diagonal, one of a unitary model with de = 16
+_CPF_BLOCK_ENTRIES = 2 ** 12
 
-    The nx conditioned past states are carried from one t to the next and
-    the nx * ny relays from one tau to the next as flattened-state columns,
-    so each propagation spans one gap of the grid.  At each t the relays of
-    intermediate outcome y are built for all past outcomes in one
-    ``env_after_projection`` (or ``env_marginal``) and one
-    ``product_with_env`` call.  The row
-    conj(flatten(Pi_z (x) 1_E)) reads outcome z out of every relay; each
-    readout is weighted by the policy (random scheme) or by one
+
+def _effects(rows: np.ndarray, taus: np.ndarray, cache) -> np.ndarray:
+    """The readout rows carried to every tau, rows @ Phi(tau), shape
+    taus.shape + rows.shape: one product per gap of the taus, which run
+    through increasing values."""
+    out = np.empty((taus.size,) + rows.shape, dtype=complex)
+    e, prev_tau = rows, 0.0
+    for i, tau in enumerate(taus.flat):
+        if tau != prev_tau:
+            e = e @ cache.at(tau - prev_tau)
+        out[i], prev_tau = e, tau
+    return out.reshape(taus.shape + rows.shape)
+
+
+def _relays(model, past: np.ndarray, scheme: str, spec_y) -> np.ndarray:
+    """Flattened relays of past states given as rows, shape (k, nx, D), as
+    the columns of shape (k, D, nx * ny), column ix * ny + iy holding
+    outcomes (x, y): one ``env_after_projection`` per intermediate outcome
+    (or one ``env_marginal``) and one ``product_with_env``."""
+    states = models.unflatten_state(model, past)
+    ny = spec_y.n_outcomes
+    if scheme == "r":
+        env_mid = models.env_marginal(model, states)[:, :, None]
+    else:
+        env_mid = np.stack([models.env_after_projection(
+            model, states, spec_y.ket(iy)) for iy in range(ny)], axis=2)
+    proj_y = np.array([spec_y.projector(iy) for iy in range(ny)])
+    relays = models.flatten_state(model, models.product_with_env(
+        model, proj_y, env_mid))
+    return relays.reshape(len(past), -1, relays.shape[-1]).swapaxes(1, 2)
+
+
+def _cpf_tensors(model, rho0s, env0, specs, ts, taus, scheme, policy,
+                 step) -> np.ndarray:
+    """Joint tensors P[z, y, x] at the pairs (ts[i], taus[i or 0, j]),
+    shape (nt, ntau, nz, ny, nx).  ``taus`` is (1, ntau), the product grid,
+    or (nt, 1), one tau per t; either way it runs through increasing values.
+
+    The nx conditioned past states are stepped along ts as flattened-state
+    columns, and the relays of a block of times are built at once.  The row
+    conj(flatten(Pi_z (x) 1_E)) reads outcome z out of a relay.  For a
+    time-independent model the rows are carried instead, once across the
+    gaps of the taus, and the effects rows @ Phi(tau) read every (t, tau)
+    of a block with one matrix product.  Modulated rates step each t's
+    relays across its taus, since the stages of RK4 sit at absolute times.
+    Each readout is weighted by the policy (random scheme) or by one
     (deterministic scheme).
     """
     validate_density_matrix(rho0s)
@@ -306,12 +348,10 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus_per_t, scheme, policy,
     else:
         raise InvariantViolation(f"unknown scheme {scheme!r}")
     ts = np.asarray(ts, dtype=float)
-    taus_per_t = np.asarray(taus_per_t, dtype=float)
+    taus = np.asarray(taus, dtype=float)
     _check_increasing(ts, "ts")
-    for taus in taus_per_t:
-        _check_increasing(taus, "taus")
+    _check_increasing(taus, "taus")
     cache = stepping_cache(model)
-    tensors = np.empty((ts.size, taus_per_t.shape[1], nz, ny, nx))
     kets_x = spec_x.vectors.T
     pxs = np.array([(ket.conj() @ rho0s @ ket).real for ket in kets_x])
     rows = models.flatten_state(model, models.product_with_env(
@@ -319,29 +359,39 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus_per_t, scheme, policy,
         np.eye(model.env_dim))).conj()
     past = np.stack([models.flatten_state(model, models.initial_state(
         model, projector(ket), env0)) for ket in kets_x], axis=1)
+    nt, ntau, dim = ts.size, taus.shape[1], rows.shape[1]
+    effects = None if cache is None else _effects(rows, taus, cache)
+    taus_of = np.broadcast_to(taus, (nt, ntau))
+    ds, de = models.dims(model)
+    per_t = nx * ny * ((ds * de) ** 2 + ntau * (dim if cache is None else nz))
+    block = max(1, _CPF_BLOCK_ENTRIES // per_t)
+    readouts = np.empty((nt, ntau, nz, nx * ny))
     prev_t = 0.0
-    for it, t in enumerate(ts):
-        past = advance(model, past, prev_t, t, step, cache)
-        prev_t = t
-        states = models.unflatten_state(model, past.T)
-        if scheme == "r":
-            env_free = models.env_marginal(model, states)
-        # relays[:, ix, iy] is the flattened relay of outcomes (x, y)
-        relays = np.empty((past.shape[0], nx, ny), dtype=complex)
-        for iy in range(ny):
-            env_mid = (env_free if scheme == "r" else
-                       models.env_after_projection(model, states, spec_y.ket(iy)))
-            relays[:, :, iy] = models.flatten_state(model, models.product_with_env(
-                model, spec_y.projector(iy), env_mid)).T
-        relays = relays.reshape(-1, nx * ny)
-        prev_tau = 0.0
-        for itau, tau in enumerate(taus_per_t[it]):
-            relays = advance(model, relays, t + prev_tau, t + tau, step, cache)
-            prev_tau = tau
-            # relay columns run over (ix, iy); the tensor is indexed [z, y, x]
-            readout = (rows @ relays).real.reshape(nz, nx, ny).swapaxes(1, 2)
-            tensors[it, itau] = _check_tensor(pxs * (readout * weights.T))
-    return tensors
+    for first in range(0, nt, block):
+        times = ts[first:first + block]
+        rows_of_past = np.empty((times.size,) + past.T.shape, dtype=complex)
+        for i, t in enumerate(times):
+            past = advance(model, past, prev_t, t, step, cache)
+            rows_of_past[i] = past.T
+            prev_t = t
+        relays = _relays(model, rows_of_past, scheme, spec_y)
+        if cache is None:
+            stepped = np.empty((times.size, ntau) + relays.shape[1:],
+                               dtype=complex)
+            for i, t in enumerate(times):
+                r, prev_tau = relays[i], 0.0
+                for j, tau in enumerate(taus_of[first + i]):
+                    r = stepped[i, j] = advance(model, r, t + prev_tau,
+                                                t + tau, step)
+                    prev_tau = tau
+            readout = rows @ stepped
+        else:
+            part = effects[first:first + block] if len(effects) > 1 else effects
+            readout = part @ relays[:, None]
+        readouts[first:first + block] = readout.real
+    # relay columns run over (ix, iy); the tensor is indexed [z, y, x]
+    readouts = readouts.reshape(nt, ntau, nz, nx, ny).swapaxes(-1, -2)
+    return _check_tensor(pxs * (readouts * weights.T))
 
 
 def cpf_joint_deterministic(model, rho0s, env0, specs, t: float, tau: float,
@@ -363,7 +413,8 @@ def cpf_joint_random(model, rho0s, env0, specs,
 
 
 def cpf_correlation(tensor: np.ndarray, specs) -> np.ndarray:
-    """Conditional past-future covariance per intermediate outcome.
+    """Conditional past-future covariance per intermediate outcome, shape
+    (..., ny) for joint tensors P[z, y, x] along any leading axes.
 
     Entries with conditional probability below 1e-12 are reported as NaN,
     never coerced to zero.
@@ -371,18 +422,14 @@ def cpf_correlation(tensor: np.ndarray, specs) -> np.ndarray:
     spec_x, _, spec_z = specs
     zvals = np.asarray(spec_z.outcomes, dtype=float)
     xvals = np.asarray(spec_x.outcomes, dtype=float)
-    ny = tensor.shape[1]
-    out = np.full(ny, np.nan)
-    for iy in range(ny):
-        block = tensor[:, iy, :]
-        py = block.sum()
-        if py < UNDEFINED_CONDITIONAL_TOL:
-            continue
-        pzx = block / py
-        pz = pzx.sum(axis=1)
-        px = pzx.sum(axis=0)
-        out[iy] = float(zvals @ (pzx - np.outer(pz, px)) @ xvals)
-    return out
+    py = tensor.sum(axis=(-3, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pzx = tensor / py[..., None, :, None]
+    pz, px = pzx.sum(axis=-1), pzx.sum(axis=-3)
+    cov = np.einsum("z,...zyx,x->...y", zvals,
+                    pzx - pz[..., None] * px[..., None, :, :], xvals)
+    # written so that a NaN probability gives NaN
+    return np.where(py >= UNDEFINED_CONDITIONAL_TOL, cov, np.nan)
 
 
 def markov_factorization_gap(tensor: np.ndarray) -> float:
@@ -404,19 +451,16 @@ def markov_factorization_gap(tensor: np.ndarray) -> float:
 
 
 def _check_increasing(values: np.ndarray, label: str) -> None:
+    """Finite, non-negative values increasing strictly along the last axis."""
     # written so that NaN fails both checks
     if not np.all((0 <= values) & (values < np.inf)):
         raise InvariantViolation(f"{label} must be finite and non-negative")
-    if values.size > 1 and not np.diff(values).min() > 0:
+    if values.shape[-1] > 1 and not np.diff(values).min() > 0:
         raise InvariantViolation(f"{label} must increase strictly")
 
 
 def _cpf_result(ts, taus, scheme, tensors, specs) -> CpfResult:
-    nt, ntau, _, ny, _ = tensors.shape
-    values = np.full((ny, nt, ntau), np.nan)
-    for it in range(nt):
-        for itau in range(ntau):
-            values[:, it, itau] = cpf_correlation(tensors[it, itau], specs)
+    values = np.moveaxis(cpf_correlation(tensors, specs), -1, 0)
     return CpfResult(ts=ts, taus=taus, scheme=scheme, values=values,
                      tensors=tensors)
 
@@ -427,8 +471,7 @@ def cpf_grid(model, rho0s, env0, specs, ts, taus, scheme: str = "d",
     """Past-future correlations over the product grid of ts and taus."""
     ts = np.asarray(ts, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    tensors = _cpf_tensors(model, rho0s, env0, specs, ts,
-                           np.broadcast_to(taus, (ts.size, taus.size)),
+    tensors = _cpf_tensors(model, rho0s, env0, specs, ts, taus[None],
                            scheme, policy, step)
     return _cpf_result(ts, taus, scheme, tensors, specs)
 

@@ -72,6 +72,26 @@ class TestFigureCommands:
         assert "phi/gamma=1 column" in captured.err
         assert not out.exists()
 
+    def test_fig2_closed_form_breach(self, tmp_path, monkeypatch, capsys):
+        # the drive columns are checked against the (p4, S, Y) closed form
+        series = cli.coherent_weight_series
+
+        def perturbed(gamma, phi, omega, grid):
+            bump = 1e-7 if omega == 2.0 else 0.0
+            return series(gamma, phi, omega, grid) + bump
+
+        monkeypatch.setattr(cli, "coherent_weight_series", perturbed)
+        out = tmp_path / "fig2.csv"
+        assert run(["fig2", "--tmax", "2", "--omega-over-gamma", "0,0.5,2",
+                    "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert "omega/gamma=2 column" in captured.err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "coherent_weight_series", series)
+        assert run(["fig2", "--tmax", "2", "--omega-over-gamma", "0,0.5,2",
+                    "--out", str(out)]) == 0
+
     def test_fig2_revival_flags(self, tmp_path):
         out = tmp_path / "fig2.csv"
         assert run(["fig2", "--tmax", "4", "--step", "0.01",

@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflow import evolve, models, witness
+from qflow import cli, evolve, models, witness
 from qflow.evolve import (
     ChannelCoefficients,
     PropagatorCache,
@@ -161,6 +163,13 @@ class TestExponentialCount:
         assert sum(calls) == 2 * (2 * substeps + 1)
 
 
+    def test_fig1b_makes_one_exponential_per_ratio(self, expm_calls, tmp_path):
+        # the effects of every tau and the past states share one gap
+        assert cli.main(["fig1b", "--phi-over-gamma", "0.3,1,3",
+                         "--out", str(tmp_path / "fig1b.csv")]) == 0
+        assert len(expm_calls) <= 3
+
+
 class TestRk4Blocks:
     """``_rk4_span`` assembles a block of stage generators per call and
     matches the classic four-assembly RK4 bit for bit."""
@@ -237,6 +246,17 @@ class TestRk4Blocks:
         state = models.initial_state(m, np.diag([1.0, 0.0]))
         with pytest.raises(InvariantViolation):
             propagate(m, state, TimeGrid(times=np.array([0.0, 0.5]), step=0.1))
+
+
+    def test_huge_span_is_refused_before_stepping(self):
+        # ceil(1e12 / 0.005) substeps would run for years
+        m = DepolarizingModel(gamma=1.0, phi=1.0,
+                              modulation=sine_modulation(0.5, 0.01))
+        start = time.perf_counter()
+        with pytest.raises(InvariantViolation, match="RK4 substeps"):
+            witness.trace_distance_bound(m, np.diag([1.0, 0.0]),
+                                         np.diag([0.0, 1.0]), None, 1e12, 1.0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPropagate:
@@ -318,6 +338,39 @@ class TestPropagate:
         with pytest.raises(NumericalDriftError):
             propagate(m, models.initial_state(m, rho0),
                       TimeGrid.regular(0.1, 0.05))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_stochastic_env(rng, nc=3),
+        lambda rng: random_quantum_bystander(rng, de=3)],
+        ids=["stacked", "full"])
+    def test_series_is_hermitian_bit_for_bit(self, make):
+        # an anti-Hermitian part of the initial state survives the dynamics;
+        # every returned state is re-symmetrized
+        rng = np.random.default_rng(6)
+        m = make(rng)
+        state0 = models.initial_state(m, random_density_matrix(rng, 2))
+        kick = rng.normal(size=state0.shape) * 1e-9
+        series = propagate(m, state0 + kick - kick.swapaxes(-1, -2),
+                           TimeGrid.regular(1.0, 0.25))
+        assert np.array_equal(series, series.conj().swapaxes(-1, -2))
+
+    def test_drift_names_the_first_drifting_time(self, monkeypatch):
+        # the steps from t = 0.5 on gain 1% of trace, so the drift first
+        # passes 1e-8 at t = 0.5 and grows after it; one time per block
+        # checks the offsets of the blocks after the first
+        advance = evolve.advance
+        monkeypatch.setattr(evolve, "_SERIES_BLOCK_ENTRIES", 1)
+
+        def leaky(model, v, t0, t1, *args, **kwargs):
+            out = advance(model, v, t0, t1, *args, **kwargs)
+            return 1.01 * out if t1 >= 0.5 else out
+
+        monkeypatch.setattr(evolve, "advance", leaky)
+        m = random_stochastic_env(np.random.default_rng(4), nc=3)
+        rho0 = random_density_matrix(np.random.default_rng(5), 2)
+        with pytest.raises(NumericalDriftError, match=r"at t=0\.5 exceeds"):
+            propagate(m, models.initial_state(m, rho0),
+                      TimeGrid.regular(1.0, 0.25))
 
     def test_trace_drift_raises(self):
         from qflow.qcore import NumericalDriftError

@@ -613,6 +613,23 @@ class TestStateHelpers:
             want, abs=1e-12)
 
     @pytest.mark.parametrize("make, stacked", LAYOUTS)
+    def test_bipartite_trace_distance_of_a_batch(self, make, stacked):
+        # one value per pair of states; a stacked state still sums its blocks
+        rng = np.random.default_rng(25)
+        m = make(rng)
+        a = models.resymmetrized(m, np.array(
+            [self._operator(rng, m, stacked) for _ in range(3)]))
+        b = models.resymmetrized(m, np.array(
+            [self._operator(rng, m, stacked) for _ in range(3)]))
+        batch = models.bipartite_trace_distance(m, a, b)
+        assert batch.shape == (3,)
+        for i in range(3):
+            blocks = zip(a[i], b[i]) if stacked else [(a[i], b[i])]
+            want = sum(0.5 * np.abs(np.linalg.eigvalsh(pa - pb)).sum()
+                       for pa, pb in blocks)
+            assert batch[i] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("make, stacked", LAYOUTS)
     def test_expect_system_projector(self, make, stacked):
         rng = np.random.default_rng(24)
         m = make(rng)

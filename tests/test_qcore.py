@@ -87,6 +87,18 @@ class TestTraceDistance:
         with pytest.raises(InvariantViolation):
             trace_distance(np.eye(2) / 2, np.eye(3) / 3)
 
+    def test_stacks_give_one_value_per_pair(self):
+        rng = np.random.default_rng(5)
+        a = np.array([[random_density_matrix(rng, 3) for _ in range(4)]
+                      for _ in range(2)])
+        b = np.array([[random_density_matrix(rng, 3) for _ in range(4)]
+                      for _ in range(2)])
+        batch = trace_distance(a, b)
+        assert batch.shape == (2, 4)
+        for i in range(2):
+            for j in range(4):
+                assert batch[i, j] == trace_distance(a[i, j], b[i, j])
+
     @settings(max_examples=30, deadline=None)
     @given(seeds)
     def test_metric_properties(self, seed):

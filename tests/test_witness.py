@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from qflow import models
-from qflow.evolve import TimeGrid, trace_distance_factor
+from qflow import models, witness
+from qflow.evolve import TimeGrid, propagate_interval, trace_distance_factor
 from qflow.models import (
     DepolarizingModel,
     UnitaryModel,
@@ -488,3 +488,91 @@ class TestCpfReference:
                        policy=policy)
         want = _reference_cpf(m, rho0s, specs, ts, taus, scheme, policy)
         assert np.abs(res.tensors - want).max() < 1e-12
+
+
+# Per-point reference for the whole-grid engine: every (t, tau) propagated
+# on its own with propagate_interval and read with the state ops.  The grid
+# is not uniform and its taus repeat across t, and the modulated model takes
+# the RK4 path, where each t's relays are stepped.
+ENGINE_MODELS = REFERENCE_MODELS + [pytest.param(
+    lambda rng: DepolarizingModel(gamma=1.0, phi=0.6,
+                                  modulation=models.sine_modulation(0.4, 0.7)),
+    id="depolarizing_modulated")]
+ENGINE_STEP = 0.05
+
+
+def _per_point_cpf(m, rho0s, specs, ts, taus_of, scheme, policy):
+    """P[t, tau, z, y, x], one propagation per point."""
+    spec_x, spec_y, spec_z = specs
+    out = np.empty((len(ts), len(taus_of[0]), spec_z.n_outcomes,
+                    spec_y.n_outcomes, spec_x.n_outcomes))
+    for ix in range(spec_x.n_outcomes):
+        kx = spec_x.ket(ix)
+        px = (kx.conj() @ rho0s @ kx).real
+        start = models.initial_state(m, projector(kx))
+        for it, t in enumerate(ts):
+            state = propagate_interval(m, start, 0.0, t, ENGINE_STEP)
+            for iy in range(spec_y.n_outcomes):
+                env = (models.env_after_projection(m, state, spec_y.ket(iy))
+                       if scheme == "d" else models.env_marginal(m, state))
+                relay = models.product_with_env(m, spec_y.projector(iy), env)
+                w = 1.0 if scheme == "d" else policy.matrix[ix, iy]
+                for itau, tau in enumerate(taus_of[it]):
+                    final = propagate_interval(m, relay, t, t + tau, ENGINE_STEP)
+                    sys = models.sys_marginal(m, final)
+                    for iz in range(spec_z.n_outcomes):
+                        kz = spec_z.ket(iz)
+                        out[it, itau, iz, iy, ix] = px * w * (
+                            kz.conj() @ sys @ kz).real
+    return out
+
+
+class TestWholeGridEngine:
+    @staticmethod
+    def _inputs(make):
+        rng = np.random.default_rng(77)
+        m = make(rng)
+        specs = tuple(random_measurement(rng) for _ in range(3))
+        return m, random_density_matrix(rng, 2), specs, random_policy(rng, 2, 2)
+
+    @pytest.mark.parametrize("make", ENGINE_MODELS)
+    @pytest.mark.parametrize("scheme", ["d", "r"])
+    def test_product_grid_matches_per_point(self, make, scheme):
+        m, rho0s, specs, policy = self._inputs(make)
+        ts, taus = [0.0, 0.3, 0.45, 1.1], [0.0, 0.3, 0.75]
+        res = cpf_grid(m, rho0s, None, specs, ts, taus, scheme=scheme,
+                       policy=policy, step=ENGINE_STEP)
+        want = _per_point_cpf(m, rho0s, specs, ts, [taus] * len(ts), scheme,
+                              policy)
+        assert np.abs(res.tensors - want).max() < 1e-12
+
+    @pytest.mark.parametrize("make", [ENGINE_MODELS[1], ENGINE_MODELS[-1]])
+    def test_blocks_of_one_time_agree(self, make, monkeypatch):
+        # a block per t exercises the offsets of every block after the first
+        m, rho0s, specs, policy = self._inputs(make)
+        ts, taus, diagonal = [0.0, 0.3, 0.45, 1.1], [0.0, 0.3, 0.75], [0.2, 0.4]
+
+        def both():
+            return [cpf_grid(m, rho0s, None, specs, ts, taus, step=ENGINE_STEP),
+                    cpf_equal_times(m, rho0s, None, specs, diagonal,
+                                    step=ENGINE_STEP)]
+
+        whole = both()
+        monkeypatch.setattr(witness, "_CPF_BLOCK_ENTRIES", 1)
+        split = both()
+        for a, b in zip(whole, split):
+            assert np.abs(a.tensors - b.tensors).max() < 1e-15
+
+    @pytest.mark.parametrize("make", ENGINE_MODELS)
+    @pytest.mark.parametrize("scheme", ["d", "r"])
+    def test_equal_times_match_per_point(self, make, scheme):
+        m, rho0s, specs, policy = self._inputs(make)
+        ts = np.arange(5) * 0.25
+        res = cpf_equal_times(m, rho0s, None, specs, ts, scheme=scheme,
+                              policy=policy, step=ENGINE_STEP)
+        want = _per_point_cpf(m, rho0s, specs, ts, ts[:, None], scheme, policy)
+        assert np.abs(res.tensors - want).max() < 1e-12
+        # the correlations of the whole grid come from one batched call
+        single = [cpf_correlation(p, specs) for p in res.tensors[:, 0]]
+        assert np.allclose(res.values[:, :, 0].T, single, rtol=0, atol=1e-15,
+                           equal_nan=True)
