@@ -374,14 +374,16 @@ def dims(model: BipartiteModel) -> tuple[int, int]:
 
 
 def _depolarizing_stacked_parts():
-    """Stacked generators for unit gamma and unit phi, to combine affinely."""
+    """Stacked generators for unit gamma and unit phi, to combine affinely.
+    Both are real (a Pauli conjugation superoperator has no imaginary part),
+    so a modulated stack of them is stepped in real arithmetic."""
     eye4 = np.eye(4)
-    g_gamma = np.zeros((16, 16), dtype=complex)
-    g_phi = np.zeros((16, 16), dtype=complex)
+    g_gamma = np.zeros((16, 16))
+    g_phi = np.zeros((16, 16))
     g_gamma[12:16, 12:16] -= eye4
     for k in range(3):
         sl = slice(4 * k, 4 * k + 4)
-        sand = conjugation_superop(PAULI_OPS[k])
+        sand = conjugation_superop(PAULI_OPS[k]).real
         g_phi[sl, sl] -= eye4
         g_gamma[sl, 12:16] += sand / 3.0
         g_phi[12:16, sl] += sand

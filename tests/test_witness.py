@@ -370,6 +370,15 @@ class TestGridEvaluators:
             p = cpf_joint_deterministic(m, rho0s, None, specs, t, t)
             assert np.abs(res.tensors[it, 0] - p).max() < 1e-12
 
+    def test_equal_times_on_a_non_uniform_diagonal(self):
+        m = DepolarizingModel(gamma=1.0, phi=0.5)
+        rho0s, specs = reference_measurements()
+        ts = np.array([0.1, 0.3, 0.35, 1.2, 2.0])
+        res = cpf_equal_times(m, rho0s, None, specs, ts)
+        for it, t in enumerate(ts):
+            p = cpf_grid(m, rho0s, None, specs, [t], [t]).tensors[0, 0]
+            assert np.abs(res.tensors[it, 0] - p).max() < 1e-13
+
     def test_rejects_decreasing_grids(self):
         m = DepolarizingModel(gamma=1.0, phi=1.0)
         rho0s, specs = reference_measurements()
