@@ -34,7 +34,6 @@ from .qcore import (
     NumericalDriftError,
     TRACE_DRIFT_TOL,
     conjugation_superop,
-    lindblad_superoperator,
     matrix_exp,
     vec,
 )
@@ -215,13 +214,29 @@ def _columns(model, states) -> np.ndarray:
     return v.reshape(-1, v.shape[-1]).T
 
 
+def _check_trace_drift(model, states, trace0, times) -> None:
+    """Raise NumericalDriftError, naming the first such time, if a state of
+    the series ``states`` (leading axis one per time) has a trace beyond
+    1e-8 of ``trace0`` or a non-finite trace."""
+    # the worst state per time; a NaN trace makes the maximum NaN
+    dev = np.abs(models.state_trace(model, states) - trace0)
+    drift = dev.reshape(len(states), -1).max(axis=1)
+    bad = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NumericalDriftError(f"trace drift {drift[i]:.2e} at "
+                                  f"t={times[i]:g} exceeds {TRACE_DRIFT_TOL:g}")
+
+
 def propagate_interval(model, state, t0: float, t1: float,
                        step: Optional[float] = None):
     """Evolve bipartite states, with any leading batch axes, from t0 to t1
-    (absolute times)."""
+    (absolute times); trace drift as in :func:`propagate` raises."""
     v = advance(model, _columns(model, state), t0, t1, step,
                 stepping_cache(model))
-    return models.unflatten_state(model, v.T).reshape(np.shape(state))
+    out = models.unflatten_state(model, v.T).reshape(np.shape(state))
+    _check_trace_drift(model, out[None], models.state_trace(model, state), [t1])
+    return out
 
 
 # entries of the block of states that ``propagate`` re-symmetrizes and
@@ -252,19 +267,11 @@ def propagate(model, state0, grid: TimeGrid, stepper: str = "auto"):
     states = models.unflatten_state(model, flat).reshape(
         grid.times.shape + np.shape(state0))
     trace0 = models.state_trace(model, state0)
-    drift = np.empty(grid.times.size)
     block = max(1, _SERIES_BLOCK_ENTRIES // v.size)
     for first in range(0, grid.times.size, block):
         part = states[first:first + block]
         part[...] = models.resymmetrized(model, part)
-        # the worst state per time; a NaN trace makes the maximum NaN
-        dev = np.abs(models.state_trace(model, part) - trace0)
-        drift[first:first + block] = dev.reshape(len(part), -1).max(axis=1)
-    bad = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL))
-    if bad.size:
-        i = bad[0]
-        raise NumericalDriftError(f"trace drift {drift[i]:.2e} at "
-                                  f"t={grid.times[i]:g} exceeds {TRACE_DRIFT_TOL:g}")
+        _check_trace_drift(model, part, trace0, grid.times[first:first + block])
     return states
 
 
@@ -488,13 +495,8 @@ def coherent_weight_series(gamma: float, phi: float, omega: float,
     _require_rates(gamma, phi)
     if not 0 <= omega < np.inf:  # NaN fails
         raise InvariantViolation("drive frequency must be finite and non-negative")
-    he, lowering = models.depolarizing_env_operators(omega)
-    jumps = []
-    for b in lowering:
-        jumps.append((b, gamma / 3.0))
-        jumps.append((b.conj().T, phi))
-    gen = lindblad_superoperator(he, jumps)
-    cache = PropagatorCache(gen)
+    driven = models._depolarizing_general(gamma, phi, omega, stacked=False)
+    cache = PropagatorCache(driven.env_generator())
     env = np.zeros((4, 4), dtype=complex)
     env[3, 3] = 1.0
     v = vec(env)

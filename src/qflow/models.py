@@ -14,11 +14,18 @@ The state operations read both through one view, the environment blocks
 fills only the diagonal blocks; only the layout helpers know which
 representation a model uses.  States may carry leading batch axes.
 
+The depolarizing model writes its six jumps once, as the general class of
+its representation: a stochastic environment when undriven (stacked), a
+quantum bystander when driven (full).  Its generator is the affine form
+gamma(t) P_gamma + phi(t) P_phi (+ omega P_omega when driven), whose parts
+are those classes' generators at unit rates, built once per representation.
+
 Models are immutable after construction and all helpers are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -236,15 +243,9 @@ class QuantumBystanderModel:
 
     def env_generator(self) -> np.ndarray:
         """Marginal environment generator (self-dynamics plus collisions)."""
-        de = self.env_dim
-        gen = np.array(self.le)
-        eye = np.eye(de)
-        for c in self.collisions:
-            n = dag(c.op) @ c.op
-            gen += c.rate * (conjugation_superop(c.op)
-                             - 0.5 * np.kron(eye, n)
-                             - 0.5 * np.kron(n.T, eye))
-        return gen
+        zero = np.zeros((self.env_dim, self.env_dim))
+        return self.le + lindblad_superoperator(
+            zero, [(c.op, c.rate) for c in self.collisions])
 
 
 @dataclass(frozen=True)
@@ -373,45 +374,38 @@ def dims(model: BipartiteModel) -> tuple[int, int]:
     return model.ds, model.env_dim
 
 
-def _depolarizing_stacked_parts():
-    """Stacked generators for unit gamma and unit phi, to combine affinely.
-    Both are real (a Pauli conjugation superoperator has no imaginary part),
-    so a modulated stack of them is stepped in real arithmetic."""
-    eye4 = np.eye(4)
-    g_gamma = np.zeros((16, 16))
-    g_phi = np.zeros((16, 16))
-    g_gamma[12:16, 12:16] -= eye4
-    for k in range(3):
-        sl = slice(4 * k, 4 * k + 4)
-        sand = conjugation_superop(PAULI_OPS[k]).real
-        g_phi[sl, sl] -= eye4
-        g_gamma[sl, 12:16] += sand / 3.0
-        g_phi[12:16, sl] += sand
-    return g_gamma, g_phi
+def _depolarizing_general(gamma: float, phi: float, omega: float, stacked: bool):
+    """The depolarizing model at fixed rates as a general class: a
+    stochastic environment when ``stacked`` (the drive is dropped), else a
+    quantum bystander driven at ``omega``.  Its initial populations are
+    uniform; only its generators are read."""
+    # 4 -> k at gamma/3 and k -> 4 at phi, each kicking the qubit with sigma_k
+    jumps = [(src, dst, rate, (PAULI_OPS[k],)) for k in range(3)
+             for src, dst, rate in ((3, k, gamma / 3.0), (k, 3, phi))]
+    zero, eye = np.zeros((4, 4)), np.eye(4)
+    if stacked:
+        return StochasticEnvModel(lindblads=(zero,) * 4,
+                                  jumps=tuple(EnvJump(*j) for j in jumps),
+                                  populations0=np.full(4, 0.25))
+    he = np.zeros((4, 4), dtype=complex)  # drive (omega/2)(|k><4| + h.c.)
+    he[:3, 3] = he[3, :3] = omega / 2.0
+    # the label jump src -> dst is the collision operator |dst><src|
+    collisions = tuple(Collision(np.outer(eye[dst], eye[src]), rate, kick)
+                       for src, dst, rate, kick in jumps)
+    return QuantumBystanderModel(ls=zero, le=lindblad_superoperator(he),
+                                 collisions=collisions, env0=eye / 4.0)
 
 
-_DEPOL_GAMMA_PART, _DEPOL_PHI_PART = _depolarizing_stacked_parts()
-
-
-def depolarizing_env_operators(omega: float):
-    """Drive ``(omega/2)(|k><4| + h.c.)`` and lowering operators ``|k><4|``
-    (k = 1, 2, 3) of the four-level depolarizing environment."""
-    lowering = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
-    he = np.zeros((4, 4), dtype=complex)
-    for k in range(3):
-        lowering[k][k, 3] = 1.0
-        he[k, 3] += omega / 2.0
-        he[3, k] += omega / 2.0
-    return he, lowering
-
-
-def _depolarizing_full_generator(gamma: float, phi: float, omega: float) -> np.ndarray:
-    he, lowering = depolarizing_env_operators(omega)
-    jumps = []
-    for k, b in enumerate(lowering):
-        jumps.append((kron(PAULI_OPS[k], b), gamma / 3.0))
-        jumps.append((kron(PAULI_OPS[k], dag(b)), phi))
-    return lindblad_superoperator(kron(np.eye(2), he), jumps)
+@functools.cache
+def _depolarizing_parts(stacked: bool) -> tuple:
+    """Generators at unit gamma, unit phi and, in the full representation,
+    unit omega, to combine affinely.  The stacked ones are real (a Pauli
+    conjugation superoperator has no imaginary part), so a modulated stack
+    of them is stepped in real arithmetic."""
+    units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))[:2 if stacked else 3]
+    parts = [_generator(_depolarizing_general(*rates, stacked), np.asarray(0.0))
+             for rates in units]
+    return tuple(_freeze_real(p.real) if stacked else _freeze(p) for p in parts)
 
 
 def assemble_generator(model: BipartiteModel, t=0.0) -> np.ndarray:
@@ -448,14 +442,12 @@ def _generator(model: BipartiteModel, t: np.ndarray) -> np.ndarray:
         gamma_t, phi_t = model.rates_at(t)
         if not (np.all(gamma_t > 0) and np.all(phi_t > 0)):  # NaN fails
             raise InvariantViolation("modulated rates must stay positive")
-        if uses_stacked(model):
-            return (gamma_t[..., None, None] * _DEPOL_GAMMA_PART
-                    + phi_t[..., None, None] * _DEPOL_PHI_PART)
-        d = (model.ds * model.env_dim) ** 2
-        return np.array([
-            _depolarizing_full_generator(g, f, model.omega)
-            for g, f in zip(gamma_t.flat, phi_t.flat)
-        ]).reshape(t.shape + (d, d))
+        stacked = uses_stacked(model)
+        parts = _depolarizing_parts(stacked)
+        gen = gamma_t[..., None, None] * parts[0] + phi_t[..., None, None] * parts[1]
+        if not stacked:
+            gen += model.omega * parts[2]
+        return gen
     if isinstance(model, QuantumBystanderModel):
         ds, de = dims(model)
         d = ds * de

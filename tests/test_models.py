@@ -162,11 +162,67 @@ class TestGeneratorStack:
         b = sine_modulation(0.4, 0.9)
         m = DepolarizingModel(gamma=1.0, phi=0.7, modulation=b)
         gens = assemble_generator(m, self.TIMES)
+        part_gamma, part_phi = models._depolarizing_parts(True)
         for t, gen in zip(self.TIMES, gens):
             bt = float(b(float(t)))
-            want = (1.0 * (1.0 + bt) * models._DEPOL_GAMMA_PART
-                    + 0.7 * (1.0 - bt) * models._DEPOL_PHI_PART)
+            want = 1.0 * (1.0 + bt) * part_gamma + 0.7 * (1.0 - bt) * part_phi
             assert np.array_equal(gen, want)
+
+    def test_stacked_parts_are_the_block_layout(self):
+        # the stacked generators at unit gamma and unit phi, written out
+        # block by block: label 4 (index 3) loses at gamma and feeds each
+        # label k at gamma/3 through sigma_k; label k loses at phi and feeds
+        # label 4 through sigma_k
+        eye4 = np.eye(4)
+        want_gamma, want_phi = np.zeros((16, 16)), np.zeros((16, 16))
+        want_gamma[12:16, 12:16] -= eye4
+        for k in range(3):
+            sl = slice(4 * k, 4 * k + 4)
+            sand = np.kron(PAULI_OPS[k].conj(), PAULI_OPS[k]).real
+            want_phi[sl, sl] -= eye4
+            want_gamma[sl, 12:16] += sand / 3.0
+            want_phi[12:16, sl] += sand
+        part_gamma, part_phi = models._depolarizing_parts(True)
+        assert part_gamma.dtype == part_phi.dtype == float
+        assert np.array_equal(part_gamma, want_gamma)
+        assert np.array_equal(part_phi, want_phi)
+        general = models._depolarizing_general(1.0, 0.0, 0.0, stacked=True)
+        assert not assemble_generator(general).imag.any()
+
+    @pytest.mark.parametrize("gamma, phi, omega", [
+        (1.0, 1.0, 1.5), (0.3, 2.0, 0.7), (2.5, 0.4, 5.0), (1.0, 0.7, 1e-3)])
+    def test_driven_generator_is_the_written_out_lindblad_form(self, gamma, phi,
+                                                              omega):
+        b = sine_modulation(0.4, 0.9)
+
+        def written_out(g, f):
+            he = np.zeros((4, 4), dtype=complex)
+            he[:3, 3] = he[3, :3] = omega / 2.0
+            jumps = []
+            for k in range(3):
+                lower = np.outer(np.eye(4)[k], np.eye(4)[3])
+                jumps += [(kron(PAULI_OPS[k], lower), g / 3.0),
+                          (kron(PAULI_OPS[k], lower.T), f)]
+            return lindblad_superoperator(kron(np.eye(2), he), jumps)
+
+        static = DepolarizingModel(gamma=gamma, phi=phi, omega=omega)
+        assert np.abs(assemble_generator(static) - written_out(gamma, phi)).max() < 1e-14
+        modulated = DepolarizingModel(gamma=gamma, phi=phi, omega=omega,
+                                      modulation=b)
+        for t, gen in zip(self.TIMES, assemble_generator(modulated, self.TIMES)):
+            bt = float(b(float(t)))
+            want = written_out(gamma * (1.0 + bt), phi * (1.0 - bt))
+            assert np.abs(gen - want).max() < 1e-14
+
+    def test_driven_stack_builds_no_lindblad_form(self, monkeypatch):
+        m = DepolarizingModel(gamma=1.0, phi=0.7, omega=1.5,
+                              modulation=sine_modulation(0.4, 0.9))
+        assemble_generator(m)  # builds the parts once
+        calls = []
+        monkeypatch.setattr(models, "lindblad_superoperator",
+                            lambda *args: calls.append(args))
+        gens = assemble_generator(m, np.linspace(0.0, 3.0, 63))
+        assert gens.shape == (63, 64, 64) and not calls
 
     @pytest.mark.parametrize("modulation", [
         pytest.param(lambda t: np.where(t > 0.5, 1.0, 0.2), id="reaches-one"),

@@ -17,6 +17,7 @@ from qflow.models import (
 )
 from qflow.qcore import (
     InvariantViolation,
+    NumericalDriftError,
     PAULI_OPS,
     kron,
     projector,
@@ -106,6 +107,18 @@ class TestTraceDistanceBound:
         b = trace_distance_bound(m, rho, sig, None, 0.9, 0.4)
         assert b.env_term < 1e-9
         assert b.slack > -1e-9
+
+    @pytest.mark.parametrize("rate", [1e10, 1e100])
+    def test_drifting_propagator_raises_in_both_witnesses(self, rate):
+        # the exponential of stiff rates at a gap of 0.25 loses the trace
+        # (at 1e100 it is the zero matrix); the bound and the series both
+        # check the propagated states and name the drifting time
+        m = DepolarizingModel(gamma=rate, phi=rate)
+        up, down = projector([1.0, 0.0]), projector([0.0, 1.0])
+        with pytest.raises(NumericalDriftError, match=r"at t=0\.25 exceeds"):
+            trace_distance_bound(m, up, down, None, 0.25, 0.25)
+        with pytest.raises(NumericalDriftError, match=r"at t=0\.25 exceeds"):
+            trace_distance_series(m, up, down, grid=TimeGrid.regular(0.5, 0.25))
 
     @settings(max_examples=20, deadline=None)
     @given(seeds)
