@@ -5,7 +5,6 @@ from .qcore import (
     InvariantViolation,
     NumericalDriftError,
     PAULI_OPS,
-    apply_superop,
     kron,
     lindblad_superoperator,
     matrix_exp,

@@ -33,6 +33,10 @@ from .qcore import (
     InvariantViolation,
     NumericalDriftError,
     TRACE_DRIFT_TOL,
+    check_increasing,
+    check_probabilities,
+    check_rate,
+    check_rate_pair,
     conjugation_superop,
     matrix_exp,
     vec,
@@ -55,11 +59,9 @@ class TimeGrid:
         times = np.asarray(self.times, dtype=float)
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
-        # written so that NaN fails both checks
-        if times.ndim != 1 or not np.all((0 <= times) & (times < np.inf)):
-            raise InvariantViolation("grid times must be finite and non-negative")
-        if times.size > 1 and not np.diff(times).min() > 0:
-            raise InvariantViolation("grid times must increase strictly")
+        if times.ndim != 1:
+            raise InvariantViolation("grid times must be one-dimensional")
+        check_increasing(times, "grid times")
         if not self.step > 0:
             raise InvariantViolation("grid step must be positive")
 
@@ -94,15 +96,6 @@ class PropagatorCache:
     spectrum: Optional[tuple] = None
     _cache: dict = field(default_factory=dict)
 
-    @classmethod
-    def for_model(cls, model) -> "PropagatorCache":
-        """Cache for a time-independent model; a closed model is
-        diagonalized once in state space instead of exponentiating its
-        superoperator."""
-        if isinstance(model, models.UnitaryModel):
-            return cls(None, np.linalg.eigh(model.total_hamiltonian()))
-        return cls(models.assemble_generator(model))
-
     def at(self, dt: float) -> np.ndarray:
         key = round(float(dt), 12)
         if key not in self._cache:
@@ -118,12 +111,15 @@ class PropagatorCache:
 def stepping_cache(model, stepper: str = "auto"):
     """Propagator cache to step the model with, or None for RK4.
     ``stepper`` is "auto" (exponentials when the generator is constant) or
-    "rk4"."""
+    "rk4".  A closed model is diagonalized once in state space instead of
+    exponentiating its superoperator."""
     if stepper not in ("auto", "rk4"):
         raise InvariantViolation(f"unknown stepper {stepper!r}")
     if models.is_time_dependent(model) or stepper == "rk4":
         return None
-    return PropagatorCache.for_model(model)
+    if isinstance(model, models.UnitaryModel):
+        return PropagatorCache(None, np.linalg.eigh(model.total_hamiltonian()))
+    return PropagatorCache(models.assemble_generator(model))
 
 
 # entries in the stack of stage generators one RK4 block holds, which keeps
@@ -279,13 +275,6 @@ def propagate(model, state0, grid: TimeGrid, stepper: str = "auto"):
 # closed-form depolarizing solutions
 # ---------------------------------------------------------------------------
 
-def _require_rates(gamma: float, phi: float) -> None:
-    if not (0 < gamma < np.inf and 0 < phi < np.inf
-            and gamma + phi < np.inf):  # NaN fails
-        raise InvariantViolation(f"rates gamma={gamma:g}, phi={phi:g} must be "
-                                 "finite and positive with a finite sum")
-
-
 def depolarizing_weight(gamma: float, phi: float, t):
     """Channel weight w(t) for stationary initial environment populations.
 
@@ -293,7 +282,7 @@ def depolarizing_weight(gamma: float, phi: float, t):
          + 4 g f e^{-(g+f) t} / (3 (g+f)^2)
          + 2 g e^{-f t} / (3 (g+f))
     """
-    _require_rates(gamma, phi)
+    check_rate_pair(gamma, phi)
     t = np.asarray(t, dtype=float)
     gp = gamma + phi
     try:
@@ -317,7 +306,7 @@ def trace_distance_factor(gamma: float, phi: float, t):
 
 def stationary_populations(gamma: float, phi: float):
     """Long-time environment populations, returned as (p4, p1, p2, p3)."""
-    _require_rates(gamma, phi)
+    check_rate_pair(gamma, phi)
     gp = gamma + phi
     p4 = phi / gp
     pk = gamma / (3.0 * gp)
@@ -394,10 +383,11 @@ def solve_channel_coefficients(gamma: float, phi: float, populations0,
     Initial data: the identity column carries the initial populations,
     every other column starts at zero.
     """
-    _require_rates(gamma, phi)
+    check_rate_pair(gamma, phi)
     pops = np.asarray(populations0, dtype=float)
-    if pops.size != 4 or pops.min() < 0 or abs(pops.sum() - 1.0) > 1e-12:
-        raise InvariantViolation("populations0 must be 4 normalized weights")
+    check_probabilities(pops, "populations0")
+    if pops.shape != (4,):
+        raise InvariantViolation("populations0 must hold 4 weights")
     g = np.zeros(16)
     g[3::4] = pops  # g[k, identity] = p_k(0)
     a_gamma = _coefficient_matrix(1.0, 0.0)
@@ -455,7 +445,7 @@ def adiabatic_weight(gamma: float, phi: float, b, t, populations0=None):
     p_k_stat(t) = gamma(t)/(3 (gamma(t)+phi(t))) evaluated at the modulated
     rates.  Valid for slow drives once the initial transient has decayed.
     """
-    _require_rates(gamma, phi)
+    check_rate_pair(gamma, phi)
     if abs(gamma - phi) / (gamma + phi) > 0.2:
         warnings.warn(
             "adiabatic weight assumes nearly balanced rates; "
@@ -492,9 +482,8 @@ def coherent_weight_series(gamma: float, phi: float, omega: float,
     ``DepolarizingModel(omega=...)``, whose drive acts on the environment
     alone (they differ by up to 0.25 at omega = 0.5 and 0.72 at omega = 5).
     """
-    _require_rates(gamma, phi)
-    if not 0 <= omega < np.inf:  # NaN fails
-        raise InvariantViolation("drive frequency must be finite and non-negative")
+    check_rate_pair(gamma, phi)
+    check_rate(omega, "drive frequency")
     driven = models._depolarizing_general(gamma, phi, omega, stacked=False)
     cache = PropagatorCache(driven.env_generator())
     env = np.zeros((4, 4), dtype=complex)

@@ -33,12 +33,16 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .qcore import (
-    HERMITIAN_TOL,
     PROPAGATION_TOL,
     InvariantViolation,
     NumericalDriftError,
     PAULI_OPS,
     basis_ket,
+    check_hermitian,
+    check_kraus,
+    check_probabilities,
+    check_rate,
+    check_rate_pair,
     conjugation_superop,
     dag,
     hermitize,
@@ -78,51 +82,10 @@ def _check_finite(a: np.ndarray, label: str) -> None:
         raise InvariantViolation(f"{label} has non-finite entries")
 
 
-def _check_rate(rate: float, label: str) -> None:
-    if not 0 <= rate < np.inf:  # NaN fails
-        raise InvariantViolation(f"{label} must be finite and non-negative")
-
-
 def _check_generator(gen: np.ndarray, dim: int, label: str) -> None:
     _check_finite(gen, f"{label} generator")
     if not trace_preservation_residual(gen, dim) <= PROPAGATION_TOL:
         raise InvariantViolation(f"{label} generator is not trace preserving")
-
-
-@dataclass(frozen=True)
-class ClassicalMixtureModel:
-    """Static mixture of Markovian system evolutions, one per environment label.
-
-    ``lindblads[c]`` is a trace-preserving system generator active under
-    environment label ``c``; ``weights[c]`` is the (time independent)
-    probability of that label.
-    """
-
-    lindblads: tuple
-    weights: np.ndarray
-
-    def __post_init__(self):
-        lindblads = tuple(_freeze(g) for g in self.lindblads)
-        weights = _freeze_real(self.weights)
-        object.__setattr__(self, "lindblads", lindblads)
-        object.__setattr__(self, "weights", weights)
-        if len(lindblads) != weights.size or not lindblads:
-            raise InvariantViolation("one weight per generator required")
-        if not (weights.min() >= 0 and abs(weights.sum() - 1.0) <= 1e-12):
-            raise InvariantViolation("weights must be a probability vector")
-        ds = self.ds
-        for i, g in enumerate(lindblads):
-            if g.shape != (ds * ds, ds * ds):
-                raise InvariantViolation("generator dimensions differ")
-            _check_generator(g, ds, f"mixture component {i}")
-
-    @property
-    def ds(self) -> int:
-        return int(round(np.sqrt(self.lindblads[0].shape[0])))
-
-    @property
-    def env_dim(self) -> int:
-        return len(self.lindblads)
 
 
 @dataclass(frozen=True)
@@ -140,10 +103,10 @@ class EnvJump:
 
     def __post_init__(self):
         object.__setattr__(self, "kraus", tuple(_freeze(k) for k in self.kraus))
-        _check_rate(self.rate, "jump rate")
+        check_rate(self.rate, "jump rate")
         if self.src == self.dst:
             raise InvariantViolation("jump must change the environment label")
-        kraus_superoperator(self.kraus, require_cptp=True)
+        check_kraus(self.kraus)
 
 
 @dataclass(frozen=True)
@@ -159,11 +122,9 @@ class StochasticEnvModel:
         object.__setattr__(self, "jumps", tuple(self.jumps))
         object.__setattr__(self, "populations0", _freeze_real(self.populations0))
         nc = len(self.lindblads)
-        if self.populations0.size != nc:
+        check_probabilities(self.populations0, "initial populations")
+        if self.populations0.shape != (nc,):
             raise InvariantViolation("one initial population per label required")
-        pops = self.populations0
-        if not (pops.min() >= 0 and abs(pops.sum() - 1.0) <= 1e-12):
-            raise InvariantViolation("initial populations must be normalized")
         ds = self.ds
         for i, g in enumerate(self.lindblads):
             if g.shape != (ds * ds, ds * ds):
@@ -172,6 +133,8 @@ class StochasticEnvModel:
         for j in self.jumps:
             if not (0 <= j.src < nc and 0 <= j.dst < nc):
                 raise InvariantViolation("jump label out of range")
+            if j.kraus[0].shape != (ds, ds):
+                raise InvariantViolation("jump Kraus must act on the system")
 
     @property
     def ds(self) -> int:
@@ -190,6 +153,23 @@ class StochasticEnvModel:
         return r
 
 
+class ClassicalMixtureModel(StochasticEnvModel):
+    """Static mixture of Markovian system evolutions, one per environment
+    label: the stochastic environment with no jumps.
+
+    ``lindblads[c]`` is a trace-preserving system generator active under
+    environment label ``c``; ``weights[c]`` is the (time independent)
+    probability of that label, held as ``populations0``.
+    """
+
+    def __init__(self, lindblads: tuple, weights: np.ndarray):
+        super().__init__(lindblads=lindblads, jumps=(), populations0=weights)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.populations0
+
+
 @dataclass(frozen=True)
 class Collision:
     """Environment transition operator with an attached system kick."""
@@ -201,9 +181,9 @@ class Collision:
     def __post_init__(self):
         object.__setattr__(self, "op", _freeze(self.op))
         object.__setattr__(self, "kraus", tuple(_freeze(k) for k in self.kraus))
-        _check_rate(self.rate, "collision rate")
+        check_rate(self.rate, "collision rate")
         _check_finite(self.op, "collision operator")
-        kraus_superoperator(self.kraus, require_cptp=True)
+        check_kraus(self.kraus)
 
 
 @dataclass(frozen=True)
@@ -263,8 +243,7 @@ class UnitaryModel:
         object.__setattr__(self, "hi", _freeze(self.hi))
         object.__setattr__(self, "env0", _freeze(validate_density_matrix(self.env0)))
         for name, h in (("hs", self.hs), ("he", self.he), ("hi", self.hi)):
-            if not np.abs(h - dag(h)).max() <= HERMITIAN_TOL:  # NaN fails
-                raise InvariantViolation(f"{name} is not Hermitian within 1e-10")
+            check_hermitian(h, name)
         if self.hi.shape != (self.ds * self.env_dim,) * 2:
             raise InvariantViolation("interaction must act on the joint space")
 
@@ -302,21 +281,17 @@ class DepolarizingModel:
     modulation: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if not (0 < self.gamma < np.inf and 0 < self.phi < np.inf
-                and self.gamma + self.phi < np.inf):  # NaN fails
-            raise InvariantViolation(
-                f"rates gamma={self.gamma:g}, phi={self.phi:g} must be finite "
-                "and positive with a finite sum")
-        _check_rate(self.omega, "drive frequency")
+        check_rate_pair(self.gamma, self.phi)
+        check_rate(self.omega, "drive frequency")
         pops = self.populations0
         if pops is None:
             gp = self.gamma + self.phi
             pops = [self.gamma / (3 * gp)] * 3 + [self.phi / gp]
         pops = _freeze_real(pops)
         object.__setattr__(self, "populations0", pops)
-        if not (pops.size == 4 and pops.min() >= 0
-                and abs(pops.sum() - 1.0) <= 1e-12):
-            raise InvariantViolation("populations0 must be 4 normalized weights")
+        check_probabilities(pops, "populations0")
+        if pops.shape != (4,):
+            raise InvariantViolation("populations0 must hold 4 weights")
 
     @property
     def ds(self) -> int:
@@ -359,7 +334,7 @@ BipartiteModel = Union[
 
 def uses_stacked(model: BipartiteModel) -> bool:
     """Whether the model evolves in the stacked classical representation."""
-    if isinstance(model, (ClassicalMixtureModel, StochasticEnvModel)):
+    if isinstance(model, StochasticEnvModel):
         return True
     if isinstance(model, DepolarizingModel):
         return model.omega == 0.0
@@ -424,15 +399,13 @@ def assemble_generator(model: BipartiteModel, t=0.0) -> np.ndarray:
 
 
 def _generator(model: BipartiteModel, t: np.ndarray) -> np.ndarray:
-    if isinstance(model, (ClassicalMixtureModel, StochasticEnvModel)):
-        # a mixture is a stochastic environment without jumps
+    if isinstance(model, StochasticEnvModel):
         ds, nc = model.ds, model.env_dim
         n = ds * ds
         gen = np.zeros((nc * n, nc * n), dtype=complex)
         for c in range(nc):
             gen[c * n:(c + 1) * n, c * n:(c + 1) * n] = model.lindblads[c]
-        jumps = model.jumps if isinstance(model, StochasticEnvModel) else ()
-        for j in jumps:
+        for j in model.jumps:
             src = slice(j.src * n, (j.src + 1) * n)
             dst = slice(j.dst * n, (j.dst + 1) * n)
             gen[src, src] -= j.rate * np.eye(n)
@@ -470,8 +443,6 @@ def _generator(model: BipartiteModel, t: np.ndarray) -> np.ndarray:
 
 def default_env_state(model: BipartiteModel) -> np.ndarray:
     """Model-owned initial environment as a matrix, diagonal when classical."""
-    if isinstance(model, ClassicalMixtureModel):
-        return np.diag(model.weights)
     if isinstance(model, (StochasticEnvModel, DepolarizingModel)):
         return np.diag(model.populations0)
     return np.array(model.env0)
@@ -829,6 +800,7 @@ def _matrix_from_json(data) -> np.ndarray:
 
 def model_to_dict(model: BipartiteModel) -> dict:
     doc = {"format": MODEL_FORMAT, "ds": model.ds, "de_or_nc": model.env_dim}
+    # ahead of the stochastic environment, of which a mixture is a subclass
     if isinstance(model, ClassicalMixtureModel):
         doc["class"] = "classical_mixture"
         doc["parameters"] = {
@@ -920,7 +892,8 @@ def model_from_dict(doc: dict) -> BipartiteModel:
         raise
     except KeyError as exc:
         raise InvariantViolation(f"model document lacks the key {exc}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, OverflowError, TypeError,
+            ValueError) as exc:
         raise InvariantViolation(f"malformed model document: {exc}") from exc
 
 

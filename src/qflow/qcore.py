@@ -7,7 +7,10 @@ Conventions fixed repo-wide:
   (``X.flatten(order="F")``).
 * Tensor products order the system factor first, the environment second.
 
-Every function here is pure; no shared mutable state.
+Every function here is pure; no shared mutable state.  The checks of the
+invariants that several modules share (probability vectors, rates, Kraus
+completeness, Hermiticity, increasing times) live here, one each, and every
+one of them fails on NaN.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 PROPAGATION_TOL = 1e-9
 TRACE_DRIFT_TOL = 1e-8
+PROBABILITY_TOL = 1e-12
 
 
 class InvariantViolation(ValueError):
@@ -45,6 +49,68 @@ SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().T
+
+
+def check_probabilities(p: np.ndarray, label: str) -> None:
+    """Raise unless ``p`` holds non-negative weights summing to one within
+    1e-12 along its last axis; a NaN, empty or 0-d ``p`` fails."""
+    if not (p.ndim and p.size and np.all(p >= 0)
+            and np.all(np.abs(p.sum(axis=-1) - 1.0) <= PROBABILITY_TOL)):
+        raise InvariantViolation(f"{label} must be non-negative and sum to one")
+
+
+def check_rate(rate: float, label: str) -> None:
+    """Raise unless ``rate`` is finite and non-negative."""
+    if not 0 <= rate < np.inf:  # NaN fails
+        raise InvariantViolation(f"{label} {rate} must be finite and non-negative")
+
+
+def check_rate_pair(gamma: float, phi: float) -> None:
+    """Raise unless both rates are finite and positive with a finite sum."""
+    if not (0 < gamma < np.inf and 0 < phi < np.inf
+            and gamma + phi < np.inf):  # NaN fails
+        raise InvariantViolation(f"rates gamma={gamma:g}, phi={phi:g} must be "
+                                 "finite and positive with a finite sum")
+
+
+def check_kraus(kraus) -> None:
+    """Raise unless the Kraus operators, one or more square matrices of one
+    size, satisfy sum K^dag K = 1 within 1e-9 entrywise; no superoperator
+    is built, and a non-finite entry fails."""
+    try:
+        k = np.asarray(kraus, dtype=complex)
+        square = k.ndim == 3 and len(k) and k.shape[1] == k.shape[2]
+    except ValueError:  # operators of different shapes
+        square = False
+    if not square:
+        raise InvariantViolation("Kraus operators must be one or more square "
+                                 "matrices of one size")
+    with np.errstate(invalid="ignore", over="ignore"):
+        comp = (k.conj().swapaxes(1, 2) @ k).sum(axis=0)
+        residual = np.abs(comp - np.eye(k.shape[1])).max()
+    if not residual <= PROPAGATION_TOL:
+        raise InvariantViolation(f"Kraus completeness residual {residual:.2e} "
+                                 f"exceeds {PROPAGATION_TOL:g}")
+
+
+def check_hermitian(h: np.ndarray, label: str) -> None:
+    """Raise unless ``h`` is a square matrix equal to its adjoint within
+    1e-10; a non-finite entry fails."""
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise InvariantViolation(f"{label} must be a square matrix")
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.abs(h - dag(h)).max()
+    if not asymmetry <= HERMITIAN_TOL:
+        raise InvariantViolation(f"{label} is not Hermitian within 1e-10")
+
+
+def check_increasing(times: np.ndarray, label: str) -> None:
+    """Raise unless ``times`` are finite, non-negative and increase strictly
+    along the last axis."""
+    if not np.all((0 <= times) & (times < np.inf)):
+        raise InvariantViolation(f"{label} must be finite and non-negative")
+    if not np.all(np.diff(times) > 0):
+        raise InvariantViolation(f"{label} must increase strictly")
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -205,21 +271,10 @@ def conjugation_superop(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarra
     return np.kron(b.conj(), a)
 
 
-def kraus_superoperator(kraus, require_cptp: bool = False,
-                        tol: float = PROPAGATION_TOL) -> np.ndarray:
-    """Superoperator sum_i K_i X K_i^dag from a list of Kraus operators."""
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    if not kraus:
-        raise InvariantViolation("empty Kraus list")
-    d = kraus[0].shape[0]
-    if require_cptp:
-        comp = sum(dag(k) @ k for k in kraus)
-        if not np.abs(comp - np.eye(d)).max() <= tol:  # NaN fails
-            raise InvariantViolation(
-                "Kraus completeness residual "
-                f"{np.abs(comp - np.eye(d)).max():.2e} exceeds {tol:g}"
-            )
-    return sum(conjugation_superop(k) for k in kraus)
+def kraus_superoperator(kraus) -> np.ndarray:
+    """Superoperator sum_i K_i X K_i^dag of a non-empty list of Kraus
+    operators (see :func:`check_kraus`)."""
+    return sum(conjugation_superop(np.asarray(k, dtype=complex)) for k in kraus)
 
 
 def lindblad_superoperator(h: np.ndarray, jumps=()) -> np.ndarray:
@@ -229,16 +284,11 @@ def lindblad_superoperator(h: np.ndarray, jumps=()) -> np.ndarray:
     The result acts on column-stacked operators.
     """
     h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    if h.shape != (d, d):
-        raise InvariantViolation("Hamiltonian must be square")
-    if not np.abs(h - dag(h)).max() <= HERMITIAN_TOL:  # NaN fails
-        raise InvariantViolation("Hamiltonian is not Hermitian within 1e-10")
-    eye = np.eye(d)
+    check_hermitian(h, "Hamiltonian")
+    eye = np.eye(h.shape[0])
     gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for op, rate in jumps:
-        if not 0 <= rate < np.inf:  # NaN fails
-            raise InvariantViolation(f"jump rate {rate} is not finite and non-negative")
+        check_rate(rate, "jump rate")
         op = np.asarray(op, dtype=complex)
         n = dag(op) @ op
         gen = gen + rate * (
@@ -247,17 +297,6 @@ def lindblad_superoperator(h: np.ndarray, jumps=()) -> np.ndarray:
             - 0.5 * np.kron(n.T, eye)
         )
     return gen
-
-
-def apply_superop(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a superoperator matrix to an operator."""
-    x = np.asarray(x, dtype=complex)
-    d = x.shape[0]
-    if s.shape != (d * d, d * d):
-        raise InvariantViolation(
-            f"superoperator shape {s.shape} incompatible with operator dim {d}"
-        )
-    return unvec(s @ vec(x), d)
 
 
 def lift_system_superop(m: np.ndarray, ds: int, de: int) -> np.ndarray:

@@ -42,6 +42,8 @@ from .evolve import (TimeGrid, advance, propagate, propagate_interval,
 from .qcore import (
     InvariantViolation,
     NumericalDriftError,
+    check_increasing,
+    check_probabilities,
     projector,
     random_unitary,
     trace_distance,
@@ -73,8 +75,12 @@ class MeasurementSpec:
         n = vectors.shape[1]
         if outcomes.size != n:
             raise InvariantViolation("one outcome value per basis vector required")
-        gram = vectors.conj().T @ vectors
-        if np.abs(gram - np.eye(n)).max() > 1e-10:
+        if not np.all(np.isfinite(outcomes)):
+            raise InvariantViolation("outcome values must be finite")
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = vectors.conj().T @ vectors
+            off = np.abs(gram - np.eye(n)).max()
+        if not off <= 1e-10:  # NaN fails
             raise InvariantViolation("basis is not orthonormal within 1e-10")
 
     @property
@@ -126,10 +132,9 @@ class RandomSchemePolicy:
         matrix = np.array(self.matrix, dtype=float)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        if matrix.ndim != 2 or matrix.min() < 0:
-            raise InvariantViolation("policy must be a non-negative matrix")
-        if np.abs(matrix.sum(axis=1) - 1.0).max() > 1e-12:
-            raise InvariantViolation("policy rows must sum to one")
+        if matrix.ndim != 2:
+            raise InvariantViolation("policy must be a matrix")
+        check_probabilities(matrix, "policy rows")
 
     @classmethod
     def uniform(cls, n_past: int, n_mid: int) -> "RandomSchemePolicy":
@@ -349,8 +354,8 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus, scheme, policy,
         raise InvariantViolation(f"unknown scheme {scheme!r}")
     ts = np.asarray(ts, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    _check_increasing(ts, "ts")
-    _check_increasing(taus, "taus")
+    check_increasing(ts, "ts")
+    check_increasing(taus, "taus")
     cache = stepping_cache(model)
     kets_x = spec_x.vectors.T
     pxs = np.array([(ket.conj() @ rho0s @ ket).real for ket in kets_x])
@@ -450,15 +455,6 @@ def markov_factorization_gap(tensor: np.ndarray) -> float:
     return float(np.abs(p - product).max())
 
 
-def _check_increasing(values: np.ndarray, label: str) -> None:
-    """Finite, non-negative values increasing strictly along the last axis."""
-    # written so that NaN fails both checks
-    if not np.all((0 <= values) & (values < np.inf)):
-        raise InvariantViolation(f"{label} must be finite and non-negative")
-    if values.shape[-1] > 1 and not np.diff(values).min() > 0:
-        raise InvariantViolation(f"{label} must increase strictly")
-
-
 def _cpf_result(ts, taus, scheme, tensors, specs) -> CpfResult:
     values = np.moveaxis(cpf_correlation(tensors, specs), -1, 0)
     return CpfResult(ts=ts, taus=taus, scheme=scheme, values=values,
@@ -481,7 +477,6 @@ def cpf_equal_times(model, rho0s, env0, specs, ts, scheme: str = "d",
                     step: Optional[float] = None) -> CpfResult:
     """Correlations on the diagonal grid tau = t, for any increasing ts."""
     ts = np.asarray(ts, dtype=float)
-    _check_increasing(ts, "ts")
     tensors = _cpf_tensors(model, rho0s, env0, specs, ts, ts[:, None],
                            scheme, policy, step)
     return _cpf_result(ts, np.array(ts), scheme, tensors, specs)

@@ -1,12 +1,16 @@
+import copy
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qflow
 from qflow import cli, models
@@ -322,9 +326,16 @@ class TestExitCodes:
          ("parameters", "gamma"), float("nan")),
         (lambda rng: models.DepolarizingModel(gamma=1.0, phi=1.0, omega=0.5),
          ("parameters", "omega"), float("inf")),
+        (lambda rng: models.random_stochastic_env(rng),
+         ("parameters", "jumps", 0, "src"), float("inf")),
+        (lambda rng: models.random_quantum_bystander(rng),
+         ("parameters", "collisions", 0, "kraus", 0, 0, 0, 0), float("inf")),
+        (lambda rng: models.random_unitary_model(rng),
+         ("parameters", "h_system", 0, 0, 0), float("inf")),
     ], ids=["mixture-generator", "jump-rate-nan", "jump-rate-inf",
             "collision-rate", "collision-op", "env-generator-inf", "unitary-h",
-            "depolarizing-gamma", "depolarizing-omega-inf"])
+            "depolarizing-gamma", "depolarizing-omega-inf", "jump-src-inf",
+            "collision-kraus-inf", "unitary-h-inf"])
     def test_non_finite_model_files_are_config_errors(self, command, make, path,
                                                       value, tmp_path, capsys):
         doc = models.model_to_dict(make(np.random.default_rng(5)))
@@ -380,6 +391,82 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("qflow: numeric invariant breached:")
         assert not out.exists()
+
+
+def _fuzz_documents():
+    """One small document per model class; the depolarizing one is
+    modulated, so that its modulation leaves are fuzzed too."""
+    rng = np.random.default_rng(11)
+    return {type(m).__name__: models.model_to_dict(m) for m in (
+        models.random_classical_mixture(rng),
+        models.random_stochastic_env(rng),
+        models.random_quantum_bystander(rng, n_collisions=1),
+        models.random_unitary_model(rng),
+        models.DepolarizingModel(gamma=1.0, phi=0.8, omega=0.5,
+                                 modulation=models.sine_modulation(0.3, 0.5)),
+    )}
+
+
+_FUZZ_DOCUMENTS = _fuzz_documents()
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every number and list below ``node``, lists included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+        return
+    if path:
+        yield path
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+
+
+def _replaced(node, kind):
+    """NaN, +-inf, a negative number, an empty list, or a wrong shape: a
+    list one entry short (or doubled when it has one) and a number
+    turned into a pair."""
+    if kind == "shape":
+        if isinstance(node, list):
+            return node[:-1] if len(node) > 1 else node + node
+        return [node, node]
+    return {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+            "negative": -0.75, "empty": []}[kind]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cls", sorted(_FUZZ_DOCUMENTS))
+@settings(max_examples=100, deadline=None)
+@given(pick=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["nan", "inf", "-inf", "negative", "empty", "shape"]))
+def test_fuzzed_model_documents_exit_cleanly(cls, pick, kind, tmp_path_factory):
+    """Any one leaf of a model document broken: exit 0 with a finite CSV,
+    or exit 2 or 3 with one stderr line and no traceback."""
+    doc = copy.deepcopy(_FUZZ_DOCUMENTS[cls])
+    paths = list(_leaf_paths({"parameters": doc["parameters"],
+                              "initial_env": doc["initial_env"]}))
+    path = paths[pick % len(paths)]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _replaced(parent[path[-1]], kind)
+    model = tmp_path_factory.mktemp("fuzz") / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")  # NaN, Infinity
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["td", "--model", str(model), "--tmax", "0.2",
+                    "--step", "0.1"])
+    assert code in (0, 2, 3), (path, kind)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        rows = out.getvalue().splitlines()[2:]
+        cells = np.array([[float(x) for x in row.split(",")] for row in rows])
+        assert cells.shape == (3, 3) and np.isfinite(cells).all(), (path, kind)
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1, (path, kind)
 
 
 def test_cli_import_loads_no_scipy():

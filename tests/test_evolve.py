@@ -18,6 +18,7 @@ from qflow.evolve import (
     solve_channel_coefficients,
     stationary_populations,
     stationary_populations_vector,
+    stepping_cache,
     trace_distance_factor,
 )
 from qflow.models import (
@@ -94,7 +95,7 @@ class TestPropagatorCache:
         rng = np.random.default_rng(100 + de)
         for m in (random_unitary_model(rng, de=de), exchange_preset(),
                   commuting_interaction_preset()):
-            cache = PropagatorCache.for_model(m)
+            cache = stepping_cache(m)
             assert cache.generator is None
             gen = models.assemble_generator(m)
             for dt in (0.05, 0.7, 2.0):
@@ -103,7 +104,7 @@ class TestPropagatorCache:
 
     def test_other_models_keep_the_generator(self):
         m = random_stochastic_env(np.random.default_rng(1), nc=3)
-        cache = PropagatorCache.for_model(m)
+        cache = stepping_cache(m)
         assert np.array_equal(cache.generator, models.assemble_generator(m))
         assert cache.at(0.3) is cache.at(0.3)
 

@@ -6,7 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qflow import models
-from qflow.evolve import TimeGrid, propagate, propagate_interval
+from qflow.evolve import (TimeGrid, propagate, propagate_interval,
+                          solve_channel_coefficients)
 from qflow.models import (
     ClassicalMixtureModel,
     Collision,
@@ -36,18 +37,21 @@ from qflow.qcore import (
     InvariantViolation,
     NumericalDriftError,
     PAULI_OPS,
-    apply_superop,
+    basis_ket,
     kron,
     lindblad_superoperator,
     matrix_exp,
     partial_trace,
+    projector,
     random_density_matrix,
     trace_preservation_residual,
     unvec,
     vec,
 )
 from qflow.witness import (
+    MeasurementSpec,
     RandomSchemePolicy,
+    cpf_grid,
     cpf_correlation,
     cpf_joint_deterministic,
     cpf_joint_random,
@@ -56,6 +60,12 @@ from qflow.witness import (
     trace_distance_bound,
     trace_distance_series,
 )
+
+
+def apply_superop(s, x):
+    """Reference application of a superoperator to an operator."""
+    return unvec(s @ vec(x), x.shape[0])
+
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -258,6 +268,33 @@ class TestStochasticEnv:
             assert np.abs(pops_a - pops_b).max() < 1e-9
             want = matrix_exp(gen_cl * t).real @ m.populations0
             assert np.abs(pops_a - want).max() < 1e-9
+
+
+class TestClassicalMixture:
+    def test_is_the_jump_free_stochastic_environment(self):
+        mix = random_classical_mixture(np.random.default_rng(3), nc=3)
+        same = StochasticEnvModel(lindblads=mix.lindblads, jumps=(),
+                                  populations0=mix.weights)
+        assert isinstance(mix, StochasticEnvModel) and mix.jumps == ()
+        assert np.array_equal(assemble_generator(mix), assemble_generator(same))
+        up, down = projector(basis_ket(2, 0)), projector(basis_ket(2, 1))
+        grid = TimeGrid.regular(2.0, 0.1)
+        assert np.array_equal(trace_distance_series(mix, up, down, grid=grid).values,
+                              trace_distance_series(same, up, down, grid=grid).values)
+        rho0s, specs = reference_measurements()
+        for scheme in ("d", "r"):
+            a, b = (cpf_grid(m, rho0s, None, specs, [0.5, 1.0], [0.5, 1.5],
+                             scheme=scheme) for m in (mix, same))
+            assert np.array_equal(a.tensors, b.tensors)
+
+    def test_round_trip_keeps_the_mixture_class(self):
+        mix = random_classical_mixture(np.random.default_rng(4))
+        doc = model_to_dict(mix)
+        back = model_from_dict(doc)
+        assert doc["class"] == "classical_mixture"
+        assert type(back) is ClassicalMixtureModel
+        assert np.array_equal(back.weights, mix.weights)
+        assert model_to_dict(back) == doc
 
 
 class TestQuantumBystander:
@@ -544,6 +581,26 @@ class TestInvariantEnforcement:
         with pytest.raises(InvariantViolation):
             EnvJump(src=0, dst=1, rate=0.5, kraus=(0.5 * np.eye(2),))
 
+    def test_kraus_sets_are_checked_without_superoperators(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(models, "kraus_superoperator",
+                            lambda *a, **k: calls.append(a))
+        # completeness residual 5e-10 passes, 2e-9 fails the 1e-9 bound
+        for build in (EnvJump, Collision):
+            args = (0, 1) if build is EnvJump else (np.eye(2),)
+            build(*args, 0.5, (np.sqrt(1 + 5e-10) * np.eye(2),))
+            for kraus in ((), (np.sqrt(1 + 2e-9) * np.eye(2),),
+                          (0.5 * np.eye(2),), (np.eye(2), np.eye(3))):
+                with pytest.raises(InvariantViolation):
+                    build(*args, 0.5, kraus)
+        assert calls == []
+
+    def test_jump_kraus_must_act_on_the_system(self):
+        jump = EnvJump(src=0, dst=1, rate=0.5, kraus=(np.eye(3),))
+        with pytest.raises(InvariantViolation):
+            StochasticEnvModel(lindblads=(np.zeros((4, 4)),) * 2, jumps=(jump,),
+                               populations0=np.array([0.5, 0.5]))
+
     def test_collision_rate_nonnegative(self):
         with pytest.raises(InvariantViolation):
             Collision(op=np.eye(2), rate=-1.0, kraus=(np.eye(2),))
@@ -588,6 +645,14 @@ class TestInvariantEnforcement:
             weights=np.array([np.nan, 1.0])),
         lambda: StochasticEnvModel(lindblads=(np.zeros((4, 4)),), jumps=(),
                                    populations0=np.array([np.nan])),
+        lambda: StochasticEnvModel(lindblads=(), jumps=(),
+                                   populations0=np.array([])),
+        lambda: solve_channel_coefficients(1.0, 1.0, [np.nan, 0.0, 0.0, 1.0],
+                                           TimeGrid.regular(0.1, 0.05)),
+        lambda: RandomSchemePolicy([[np.nan, np.nan], [0.5, 0.5]]),
+        lambda: MeasurementSpec(vectors=np.full((2, 2), np.nan),
+                                outcomes=(1.0, -1.0)),
+        lambda: MeasurementSpec(vectors=np.eye(2), outcomes=(np.nan, -1.0)),
         lambda: sine_modulation(0.5, np.nan),
         lambda: sine_modulation(np.nan, 0.01),
     ])
