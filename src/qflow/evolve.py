@@ -7,11 +7,14 @@ batch of states shares every propagator, and :func:`stepping_cache` alone
 decides how a model is stepped.  A series loop only steps and stores the
 columns; re-symmetrization and the trace-drift check then run over the
 stored series, a block of times at a time.  Time-independent generators
-use cached matrix exponentials; closed (unitary) models exponentiate their
-total Hamiltonian through one ``eigh`` in state space instead of the
-(ds de)^2 superoperator.  Modulated rates fall back to classical fixed-step
-fourth-order integration, chosen over adaptive stepping so outputs are
-reproducible run to run.  RK4 assembles its generators as one stack per
+use cached matrix exponentials, taken in real arithmetic in a Hermitian
+operator basis when the generator is complex.  Closed (unitary) models
+never build their (ds de)^2-square superoperator: one ``eigh`` of the
+total Hamiltonian gives the N x N unitary u of each time gap, and a step
+is the conjugation X -> u X u^dag of the unflattened columns.  Modulated
+rates fall back to classical fixed-step fourth-order integration, chosen
+over adaptive stepping so outputs are reproducible run to run.  RK4
+assembles its generators as one stack per
 block of substeps, in which each distinct stage time (a substep's start,
 midpoint and end, the end being the next start) appears once, exactly as
 the running sum ``t += h`` gives it.  It steps a block as the ordered
@@ -22,6 +25,7 @@ than ``_RK4_MAX_SUBSTEPS`` substeps before stepping it.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -37,7 +41,6 @@ from .qcore import (
     check_probabilities,
     check_rate,
     check_rate_pair,
-    conjugation_superop,
     matrix_exp,
     vec,
 )
@@ -83,43 +86,141 @@ class TimeGrid:
         return cls(times=times, step=step)
 
 
+class _HermitianBasis:
+    """The unitary change T of flattened operators, ``nblocks`` column-stacked
+    b x b blocks, into the orthonormal Hermitian basis of each block: E_ii,
+    then (E_ij + E_ji)/sqrt(2) and i (E_ij - E_ji)/sqrt(2) for i < j.  A
+    Hermiticity-preserving generator G is real in it, as T G T^dag.
+
+    Every row and column of T holds at most two entries, so T G T^dag and
+    T^dag R T are gathers over index arrays built once per layout: row k of
+    T has the weights ``w[:, k]`` at the flat positions ``src[:, k]``, row a
+    of T^dag the weights ``wd[:, a]`` at the coordinates ``dst[:, a]`` (a
+    diagonal pairs with itself at weight 0)."""
+
+    def __init__(self, nblocks: int, b: int):
+        i, j = np.triu_indices(b, 1)
+        diag = np.arange(b) * (b + 1)
+        upper, lower = i + b * j, j + b * i  # flat positions of X[i, j], X[j, i]
+        sym = np.arange(b, b + i.size)
+        anti = sym + i.size
+        s = np.sqrt(0.5)
+        src = np.empty((2, b * b), dtype=np.intp)
+        w = np.zeros((2, b * b), dtype=complex)
+        src[:, :b], w[0, :b] = diag, 1.0
+        src[:, sym], w[:, sym] = (lower, upper), s
+        src[:, anti], w[:, anti] = (lower, upper), ((1j * s,), (-1j * s,))
+        dst = np.empty((2, b * b), dtype=np.intp)
+        wd = np.zeros((2, b * b), dtype=complex)
+        dst[:, diag], wd[0, diag] = np.arange(b), 1.0
+        dst[:, upper], wd[:, upper] = (sym, anti), ((s,), (1j * s,))
+        dst[:, lower], wd[:, lower] = (sym, anti), ((s,), (-1j * s,))
+        offsets = b * b * np.arange(nblocks)[:, None]
+        self._into = ((src[:, None, :] + offsets).reshape(2, -1),
+                      np.tile(w, nblocks))
+        self._back = ((dst[:, None, :] + offsets).reshape(2, -1),
+                      np.tile(wd, nblocks))
+        for a in self._into + self._back:  # shared by every cache of a layout
+            a.setflags(write=False)
+
+    @staticmethod
+    def _transform(m: np.ndarray, gather) -> np.ndarray:
+        """A m A^dag for the A whose row k holds the weights ``weight[:, k]``
+        at the columns ``index[:, k]``, ``gather = (index, weight)``."""
+        (i0, i1), (w0, w1) = gather
+        rows = m[i0] * w0[:, None] + m[i1] * w1[:, None]
+        return rows[:, i0] * w0.conj() + rows[:, i1] * w1.conj()
+
+    def into(self, g: np.ndarray) -> np.ndarray:
+        """T g T^dag."""
+        return self._transform(g, self._into)
+
+    def back(self, r: np.ndarray) -> np.ndarray:
+        """T^dag r T."""
+        return self._transform(r, self._back)
+
+
+@functools.cache
+def _hermitian_basis(nblocks: int, b: int) -> _HermitianBasis:
+    return _HermitianBasis(nblocks, b)
+
+
 @dataclass
 class PropagatorCache:
     """Cached propagators of one time-independent model, keyed by time gap.
 
-    Built from a generator, a propagator is its matrix exponential.  Built
-    from the eigendecomposition ``(E, V)`` of a Hamiltonian, it is the
-    conjugation by ``V diag(exp(-i E dt)) V^dag``.
+    Built from the eigendecomposition ``(E, V)`` of a Hamiltonian, a
+    propagator is the N x N unitary ``u = V diag(exp(-i E dt)) V^dag``;
+    :func:`advance` applies X -> u X u^dag to unflattened columns and
+    :meth:`carry` takes readout rows the adjoint way, so no N^2 x N^2
+    superoperator is built.  Built from a generator, it is the
+    generator's matrix exponential.  With a Hermitian basis (which
+    :func:`stepping_cache` gives a complex generator), the generator is
+    changed once into that basis, where it is real, exponentiated in real
+    arithmetic and changed back.
     """
 
     generator: Optional[np.ndarray]
     spectrum: Optional[tuple] = None
+    _basis: Optional[_HermitianBasis] = None
+    _real: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _cache: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self._basis is not None:
+            self._real = self._basis.into(self.generator).real
 
     def at(self, dt: float) -> np.ndarray:
         key = round(float(dt), 12)
         if key not in self._cache:
-            if self.spectrum is None:
-                self._cache[key] = matrix_exp(self.generator * float(dt))
-            else:
+            dt = float(dt)
+            if self.spectrum is not None:
                 energies, vecs = self.spectrum
-                u = (vecs * np.exp(-1j * energies * float(dt))) @ vecs.conj().T
-                self._cache[key] = conjugation_superop(u)
+                p = (vecs * np.exp(-1j * energies * dt)) @ vecs.conj().T
+            elif self._basis is not None:
+                p = self._basis.back(matrix_exp(self._real * dt).real)
+            else:
+                p = matrix_exp(self.generator * dt)
+            self._cache[key] = p
         return self._cache[key]
+
+    def carry(self, rows: np.ndarray, dt: float) -> np.ndarray:
+        """rows @ Phi(dt) for readout rows conj(flatten(E)).  A closed model
+        carries E by E -> u^dag E u: a row read as an N x N matrix (C order)
+        is E^dag, which goes the same way."""
+        p = self.at(dt)
+        if self.spectrum is None:
+            return rows @ p
+        return _sandwiched(p.conj().T, rows, p)
+
+
+def _sandwiched(a: np.ndarray, flat: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a Z b for every N x N matrix Z flattened (C order) along the last axis
+    of ``flat``."""
+    n = a.shape[0]
+    z = flat.reshape(flat.shape[:-1] + (n, n))
+    return (a @ z @ b).reshape(flat.shape)
 
 
 def stepping_cache(model, stepper: str = "auto"):
     """Propagator cache to step the model with, or None for RK4.
     ``stepper`` is "auto" (exponentials when the generator is constant) or
     "rk4".  A closed model is diagonalized once in state space instead of
-    exponentiating its superoperator."""
+    exponentiating its superoperator; a complex generator is exponentiated
+    in the Hermitian basis of the representation's blocks (ds x ds per
+    label when stacked, one N x N block when full)."""
     if stepper not in ("auto", "rk4"):
         raise InvariantViolation(f"unknown stepper {stepper!r}")
     if models.is_time_dependent(model) or stepper == "rk4":
         return None
     if isinstance(model, models.UnitaryModel):
         return PropagatorCache(None, np.linalg.eigh(model.total_hamiltonian()))
-    return PropagatorCache(models.assemble_generator(model))
+    gen = models.assemble_generator(model)
+    if not gen.imag.any():
+        return PropagatorCache(gen)
+    ds, de = models.dims(model)
+    blocks = (de, ds) if models.uses_stacked(model) else (1, ds * de)
+    return PropagatorCache(gen, _basis=_hermitian_basis(*blocks))
 
 
 # entries in the stack of stage generators one RK4 block holds, which keeps
@@ -201,7 +302,12 @@ def advance(model, v: np.ndarray, t0: float, t1: float,
         return v
     if cache is None:
         return _rk4_span(model, v, t0, t1, step)
-    return cache.at(t1 - t0) @ v
+    p = cache.at(t1 - t0)
+    if cache.spectrum is None:
+        return p @ v
+    # a closed model: X -> u X u^dag, and a column read as an N x N matrix
+    # (C order) is X^T, which goes to conj(u) X^T u^T
+    return _sandwiched(p.conj(), v.T, p.T).T
 
 
 def _columns(model, states) -> np.ndarray:

@@ -45,6 +45,7 @@ from .qcore import (
     check_rate_pair,
     conjugation_superop,
     dag,
+    hermiticity_preservation_residual,
     hermitize,
     kraus_superoperator,
     kron,
@@ -83,9 +84,17 @@ def _check_finite(a: np.ndarray, label: str) -> None:
 
 
 def _check_generator(gen: np.ndarray, dim: int, label: str) -> None:
+    """Raise unless ``gen`` is a finite, trace- and Hermiticity-preserving
+    generator on dim x dim operators."""
+    if gen.shape != (dim * dim, dim * dim):
+        raise InvariantViolation(f"{label} generator must act on {dim}x{dim} "
+                                 "operators")
     _check_finite(gen, f"{label} generator")
     if not trace_preservation_residual(gen, dim) <= PROPAGATION_TOL:
         raise InvariantViolation(f"{label} generator is not trace preserving")
+    if not hermiticity_preservation_residual(gen, dim) <= PROPAGATION_TOL:
+        raise InvariantViolation(f"{label} generator does not preserve "
+                                 "Hermiticity")
 
 
 @dataclass(frozen=True)
@@ -127,8 +136,6 @@ class StochasticEnvModel:
             raise InvariantViolation("one initial population per label required")
         ds = self.ds
         for i, g in enumerate(self.lindblads):
-            if g.shape != (ds * ds, ds * ds):
-                raise InvariantViolation("generator dimensions differ")
             _check_generator(g, ds, f"label {i}")
         for j in self.jumps:
             if not (0 <= j.src < nc and 0 <= j.dst < nc):
@@ -455,14 +462,20 @@ def initial_state(model: BipartiteModel, rho0s: np.ndarray, env0=None):
     env0 = np.asarray(default_env_state(model) if env0 is None else env0)
     if uses_stacked(model):
         if env0.ndim == 2:
-            if np.abs(env0 - np.diag(np.diag(env0))).max() > 1e-12:
+            if env0.shape != (model.env_dim,) * 2:
+                raise InvariantViolation("a classical environment state must "
+                                         "be one population per label")
+            with np.errstate(invalid="ignore"):
+                coherence = np.abs(env0 - np.diag(np.diag(env0))).max()
+            if not coherence <= 1e-12:  # NaN fails
                 raise InvariantViolation("classical environments cannot carry "
                                          "coherences; pass diagonal populations")
             env0 = np.diag(env0)
         pops = env0.real
-        if not (pops.size == model.env_dim and pops.min() >= -1e-12
-                and abs(pops.sum() - 1.0) <= 1e-10):  # NaN fails
-            raise InvariantViolation("environment populations must be normalized")
+        if pops.shape != (model.env_dim,):
+            raise InvariantViolation("a classical environment state must be "
+                                     "one population per label")
+        check_probabilities(pops, "environment populations")
         env0 = np.diag(pops)
     else:
         env0 = validate_density_matrix(np.asarray(env0, dtype=complex))
@@ -587,19 +600,30 @@ def check_bystander(model: BipartiteModel, t: float = 0.0,
     verdict and the worst-case residual over that kernel basis, the
     traceless system basis times every environment operator the
     representation holds (populations |c><c| when classical, every |i><j|
-    otherwise).  A non-finite residual raises.
+    otherwise).  A closed model takes L[X] = -i[H, X] as batched N x N
+    products, one environment row |i><j|, j = 1..de, at a time, and never
+    builds its superoperator.  A non-finite residual raises.
     """
-    gen = assemble_generator(model, t)
     ds, de = dims(model)
     basis, eye = _traceless_basis(ds), np.eye(de)
-    pairs = ([(c, c) for c in range(de)] if uses_stacked(model)
-             else [(i, j) for i in range(de) for j in range(de)])
     residuals = []
-    for i, j in pairs:
-        env_op = np.outer(eye[i], eye[j])
-        x = flatten_state(model, product_with_env(model, basis, env_op))
-        image = unflatten_state(model, (gen @ x.T).T)
-        residuals.append(np.abs(env_marginal(model, image)).max())
+    if isinstance(model, UnitaryModel):
+        h = model.total_hamiltonian()
+        for i in range(de):
+            # the basis times |i><j| for every j
+            row = eye[i][:, None] * eye[:, None]
+            x = product_with_env(model, basis[:, None], row)
+            image = -1j * (h @ x - x @ h)
+            residuals.append(np.abs(env_marginal(model, image)).max())
+    else:
+        gen = assemble_generator(model, t)
+        pairs = ([(c, c) for c in range(de)] if uses_stacked(model)
+                 else [(i, j) for i in range(de) for j in range(de)])
+        for i, j in pairs:
+            env_op = np.outer(eye[i], eye[j])
+            x = flatten_state(model, product_with_env(model, basis, env_op))
+            image = unflatten_state(model, (gen @ x.T).T)
+            residuals.append(np.abs(env_marginal(model, image)).max())
     worst = float(np.max(residuals))
     if not np.isfinite(worst):
         raise NumericalDriftError(f"bystander residual is {worst}")

@@ -324,6 +324,17 @@ def trace_preservation_residual(s: np.ndarray, dim: int) -> float:
     return float(np.abs(tvec @ s).max())
 
 
+def hermiticity_preservation_residual(s: np.ndarray, dim: int) -> float:
+    """Residual of S[X^dag] = S[X]^dag for a generator acting on
+    column-stacked dim x dim operators: with P the transpose permutation,
+    the largest entry of S P - P conj(S).  A non-finite entry gives a
+    non-finite residual, with no numpy warning."""
+    swap = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    s = np.asarray(s)
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(s[:, swap] - s[swap].conj()).max())
+
+
 def validate_density_matrix(rho: np.ndarray,
                             herm_tol: float = HERMITIAN_TOL,
                             trace_tol: float = TRACE_TOL,

@@ -70,8 +70,9 @@ class MeasurementSpec:
         outcomes.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "outcomes", outcomes)
-        if vectors.ndim != 2:
-            raise InvariantViolation("basis must be a (dim, n) column matrix")
+        if vectors.ndim != 2 or not vectors.shape[1]:
+            raise InvariantViolation("basis must be a (dim, n) column matrix "
+                                     "of one or more vectors")
         n = vectors.shape[1]
         if outcomes.size != n:
             raise InvariantViolation("one outcome value per basis vector required")
@@ -288,7 +289,10 @@ def _check_tensor(p: np.ndarray) -> np.ndarray:
 # entries of the per-t intermediates one block of times holds in the CPF
 # engine (the system-environment products behind the relays, the relays and
 # their readouts), which keeps each at about 64 kB: 15 times of the stacked
-# depolarizing diagonal, one of a unitary model with de = 16
+# depolarizing diagonal.  A block holds at least one time, so a unitary
+# model takes one per block from de = 16 on, and its intermediates then
+# grow as (ds de)^2 per outcome pair, 1 MB at de = 64; its propagators are
+# N x N unitaries, so no (ds de)^2-square superoperator sits beside them
 _CPF_BLOCK_ENTRIES = 2 ** 12
 
 
@@ -300,7 +304,7 @@ def _effects(rows: np.ndarray, taus: np.ndarray, cache) -> np.ndarray:
     e, prev_tau = rows, 0.0
     for i, tau in enumerate(taus.flat):
         if tau != prev_tau:
-            e = e @ cache.at(tau - prev_tau)
+            e = cache.carry(e, tau - prev_tau)
         out[i], prev_tau = e, tau
     return out.reshape(taus.shape + rows.shape)
 
@@ -461,12 +465,21 @@ def _cpf_result(ts, taus, scheme, tensors, specs) -> CpfResult:
                      tensors=tensors)
 
 
+def _time_axis(times, label: str) -> np.ndarray:
+    """``times`` as a one-dimensional float array; any other shape raises."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise InvariantViolation(f"{label} must be a one-dimensional sequence "
+                                 "of times")
+    return times
+
+
 def cpf_grid(model, rho0s, env0, specs, ts, taus, scheme: str = "d",
              policy: Optional[RandomSchemePolicy] = None,
              step: Optional[float] = None) -> CpfResult:
     """Past-future correlations over the product grid of ts and taus."""
-    ts = np.asarray(ts, dtype=float)
-    taus = np.asarray(taus, dtype=float)
+    ts = _time_axis(ts, "ts")
+    taus = _time_axis(taus, "taus")
     tensors = _cpf_tensors(model, rho0s, env0, specs, ts, taus[None],
                            scheme, policy, step)
     return _cpf_result(ts, taus, scheme, tensors, specs)
@@ -476,7 +489,7 @@ def cpf_equal_times(model, rho0s, env0, specs, ts, scheme: str = "d",
                     policy: Optional[RandomSchemePolicy] = None,
                     step: Optional[float] = None) -> CpfResult:
     """Correlations on the diagonal grid tau = t, for any increasing ts."""
-    ts = np.asarray(ts, dtype=float)
+    ts = _time_axis(ts, "ts")
     tensors = _cpf_tensors(model, rho0s, env0, specs, ts, ts[:, None],
                            scheme, policy, step)
     return _cpf_result(ts, np.array(ts), scheme, tensors, specs)

@@ -347,6 +347,33 @@ class TestExitCodes:
         model.write_text(json.dumps(doc), encoding="utf-8")  # NaN, Infinity
         self._assert_config_error(run(command + ["--model", str(model)]), capsys)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["check-bystander"], ["td"], ["cpf"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("make, key", [
+        (lambda rng: models.random_stochastic_env(rng), ("generators", 1)),
+        (lambda rng: models.random_classical_mixture(rng), ("generators", 0)),
+        (lambda rng: models.random_quantum_bystander(rng), ("system_generator",)),
+        (lambda rng: models.random_quantum_bystander(rng), ("env_generator",)),
+    ], ids=["stochastic", "mixture", "bystander-system", "bystander-env"])
+    def test_hermiticity_breaking_generators_are_config_errors(
+            self, command, make, key, tmp_path, capsys):
+        doc = models.model_to_dict(make(np.random.default_rng(5)))
+        target = doc["parameters"]
+        for k in key[:-1]:
+            target = target[k]
+        pairs = np.asarray(target[key[-1]])
+        gen = pairs[..., 0] + 1j * pairs[..., 1]
+        # add X -> [P, X], P = |0><0|: trace preserving, but it maps a
+        # Hermitian X to an anti-Hermitian one
+        d = int(round(np.sqrt(len(gen))))
+        p, eye = np.diag(np.eye(d)[0]), np.eye(d)
+        gen = gen + np.kron(eye, p) - np.kron(p, eye)
+        target[key[-1]] = np.stack([gen.real, gen.imag], axis=-1).tolist()
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        self._assert_config_error(run(command + ["--model", str(model)]), capsys)
+
     @pytest.mark.parametrize("command", [["td"], ["cpf"], ["cpf", "--scheme", "r"]])
     def test_overflowing_rates_are_numeric_breach(self, command, tmp_path, capsys):
         out = tmp_path / "out.csv"

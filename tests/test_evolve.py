@@ -98,15 +98,100 @@ class TestPropagatorCache:
             cache = stepping_cache(m)
             assert cache.generator is None
             gen = models.assemble_generator(m)
+            d = gen.shape[0]
+            cols = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+            rows = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
             for dt in (0.05, 0.7, 2.0):
-                err = np.abs(cache.at(dt) - matrix_exp(gen * dt)).max()
-                assert err < 1e-12
+                # the action of the N x N unitary on states and readout rows
+                want = matrix_exp(gen * dt)
+                got = evolve.advance(m, cols, 0.0, dt, cache=cache)
+                assert np.abs(got - want @ cols).max() < 1e-12
+                got = evolve.advance(m, cols[:, 0], 0.0, dt, cache=cache)
+                assert np.abs(got - want @ cols[:, 0]).max() < 1e-12
+                assert np.abs(cache.carry(rows, dt) - rows @ want).max() < 1e-12
+
+    COMPLEX_GENERATORS = [pytest.param(make, id=name) for name, make in (
+        ("stochastic", lambda rng: random_stochastic_env(rng, nc=3)),
+        ("stochastic-qutrit", lambda rng: random_stochastic_env(rng, ds=3, nc=2)),
+        ("mixture", lambda rng: random_classical_mixture(rng, nc=3)),
+        ("bystander", lambda rng: random_quantum_bystander(rng, de=3)),
+        ("driven-depolarizing", lambda rng: DepolarizingModel(
+            gamma=1.0, phi=0.7, omega=1.5)),
+    )]
+
+    @pytest.mark.parametrize("make", COMPLEX_GENERATORS)
+    def test_complex_generators_are_exponentiated_in_real_arithmetic(
+            self, make, monkeypatch):
+        m = make(np.random.default_rng(41))
+        gen = models.assemble_generator(m)
+        assert gen.imag.any()
+        args = []
+
+        def recording(a):
+            args.append(a)
+            return matrix_exp(a)
+
+        monkeypatch.setattr(evolve, "matrix_exp", recording)
+        cache = stepping_cache(m)
+        for dt in (0.05, 0.7, 2.0):
+            err = np.abs(cache.at(dt) - matrix_exp(gen * dt)).max()
+            assert err < 1e-13
+        assert len(args) == 3
+        assert all(np.isrealobj(a) for a in args)
+
+    def test_real_generators_are_exponentiated_as_they_are(self):
+        m = DepolarizingModel(gamma=1.0, phi=0.7)
+        gen = models.assemble_generator(m)
+        assert not gen.imag.any()
+        cache = stepping_cache(m)
+        for dt in (0.05, 0.7, 2.0):
+            assert np.array_equal(cache.at(dt), matrix_exp(gen * dt))
 
     def test_other_models_keep_the_generator(self):
         m = random_stochastic_env(np.random.default_rng(1), nc=3)
         cache = stepping_cache(m)
         assert np.array_equal(cache.generator, models.assemble_generator(m))
         assert cache.at(0.3) is cache.at(0.3)
+
+
+class TestClosedModelsInStateSpace:
+    @staticmethod
+    def reference_series(m, rho, sigma, times):
+        """System trace distances from an eigh of the total Hamiltonian,
+        with every propagator and partial trace written out."""
+        ds, de = m.ds, m.env_dim
+        h = (np.kron(m.hs, np.eye(de)) + np.kron(np.eye(ds), m.he) + m.hi)
+        energies, vecs = np.linalg.eigh(h)
+        out = []
+        for t in times:
+            u = (vecs * np.exp(-1j * energies * t)) @ vecs.conj().T
+            r, s = (u @ np.kron(x, m.env0) @ u.conj().T for x in (rho, sigma))
+            diff = np.einsum("abcb->ac", (r - s).reshape(ds, de, ds, de))
+            out.append(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+        return np.array(out)
+
+    def test_large_environment_series_matches_eigh(self):
+        # one (ds de)^2-square superoperator at de = 64 takes 4 GiB
+        import tracemalloc
+        rng = np.random.default_rng(64)
+        m = random_unitary_model(rng, de=64)
+        rho = random_density_matrix(rng, 2)
+        sigma = random_density_matrix(rng, 2)
+        grid = TimeGrid.regular(1.0, 0.05)
+        rho0s, specs = witness.reference_measurements()
+        tracemalloc.start()
+        try:
+            trace = witness.trace_distance_series(m, rho, sigma, grid=grid,
+                                                  with_bound_terms=True)
+            res = witness.cpf_grid(m, rho0s, None, specs, [0.25, 0.5],
+                                   [0.25, 0.5], scheme="d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = self.reference_series(m, rho, sigma, grid.times)
+        assert np.abs(trace.values - want).max() < 1e-12
+        assert res.tensors.shape == (2, 2, 2, 2, 2)
+        assert peak < 2 ** 27  # 128 MiB
 
 
 @pytest.fixture

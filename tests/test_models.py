@@ -44,6 +44,7 @@ from qflow.qcore import (
     partial_trace,
     projector,
     random_density_matrix,
+    random_hermitian,
     trace_preservation_residual,
     unvec,
     vec,
@@ -53,6 +54,7 @@ from qflow.witness import (
     RandomSchemePolicy,
     cpf_grid,
     cpf_correlation,
+    cpf_equal_times,
     cpf_joint_deterministic,
     cpf_joint_random,
     markov_factorization_gap,
@@ -383,14 +385,35 @@ class TestBystanderCheck:
         want = self._reference_residual(m, gen)
         assert resid == pytest.approx(want, rel=1e-12, abs=1e-14)
         assert ok == (resid < 1e-9)
-        # a generic generator on the same space gives O(1) residuals
+        # a generic generator on the same space gives O(1) residuals; a
+        # closed model is checked through its Hamiltonian, so it gets a
+        # generic Hermitian one
         d = gen.shape[0]
-        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        monkeypatch.setattr(models, "assemble_generator", lambda m, t=0.0: noise)
+        if isinstance(m, UnitaryModel):
+            h = random_hermitian(rng, m.ds * m.env_dim)
+            noise = lindblad_superoperator(h)
+            monkeypatch.setattr(UnitaryModel, "total_hamiltonian", lambda self: h)
+        else:
+            noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            monkeypatch.setattr(models, "assemble_generator", lambda m, t=0.0: noise)
         ok, resid = check_bystander(m)
         assert not ok
         assert resid == pytest.approx(self._reference_residual(m, noise),
                                       rel=1e-12)
+
+    def test_closed_model_builds_no_superoperator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("superoperator built")
+
+        rng = np.random.default_rng(33)
+        m = random_unitary_model(rng, de=16)
+        for name in ("assemble_generator", "lindblad_superoperator",
+                     "conjugation_superop"):
+            monkeypatch.setattr(models, name, refuse)
+        ok, resid = check_bystander(m)
+        assert not ok and resid > 1e-3
+        ok, resid = check_bystander(commuting_interaction_preset())
+        assert not ok and resid > 1e-3
 
     @pytest.mark.parametrize("make", INSTANCES[:1] + INSTANCES[2:3])
     def test_nan_residual_raises(self, make, monkeypatch):
@@ -655,6 +678,17 @@ class TestInvariantEnforcement:
         lambda: MeasurementSpec(vectors=np.eye(2), outcomes=(np.nan, -1.0)),
         lambda: sine_modulation(0.5, np.nan),
         lambda: sine_modulation(np.nan, 0.01),
+        # a scalar time list or an empty basis, not a numpy error
+        lambda ref=reference_measurements(): cpf_grid(
+            DepolarizingModel(gamma=1.0, phi=1.0), ref[0], None, ref[1],
+            ts=0.5, taus=[0.5]),
+        lambda ref=reference_measurements(): cpf_grid(
+            DepolarizingModel(gamma=1.0, phi=1.0), ref[0], None, ref[1],
+            ts=[0.5], taus=0.5),
+        lambda ref=reference_measurements(): cpf_equal_times(
+            DepolarizingModel(gamma=1.0, phi=1.0), ref[0], None, ref[1],
+            ts=0.5),
+        lambda: MeasurementSpec(np.zeros((2, 0)), []),
     ])
     def test_non_finite_parameters_rejected(self, build):
         with pytest.raises(InvariantViolation):
@@ -840,3 +874,23 @@ class TestStateHelpers:
         env = np.full((4, 4), 0.25, dtype=complex)
         with pytest.raises(InvariantViolation):
             models.initial_state(m, rho0, env)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("env", [
+        pytest.param([0.25, 0.25, 0.25, 0.25 + 5e-11], id="sum-off-by-5e-11"),
+        pytest.param([0.5, 0.5, 1e-13, -1e-13], id="negative"),
+        pytest.param([0.5, 0.5, 0.0, np.nan], id="nan"),
+        pytest.param([0.5, 0.5], id="too-few"),
+        pytest.param(np.full((4, 2), 0.25), id="non-square"),
+        pytest.param(np.diag([0.25] * 4) + np.diag([np.nan] * 3, 1),
+                     id="nan-coherence"),
+    ])
+    def test_classical_env_populations_are_probabilities(self, env):
+        # the same check, and tolerance, as the model's own populations0
+        m = DepolarizingModel(gamma=1.0, phi=1.0)
+        rho0 = np.eye(2, dtype=complex) / 2
+        with pytest.raises(InvariantViolation):
+            models.initial_state(m, rho0, np.asarray(env))
+        if np.ndim(env) == 1 and len(env) == 4:
+            with pytest.raises(InvariantViolation):
+                DepolarizingModel(gamma=1.0, phi=1.0, populations0=env)

@@ -13,6 +13,7 @@ from qflow.qcore import (
     SIGMA_X,
     SIGMA_Z,
     basis_ket,
+    hermiticity_preservation_residual,
     hermitize,
     kron,
     lindblad_superoperator,
@@ -272,6 +273,31 @@ class TestLindbladSuperoperator:
                   float(rng.uniform())) for _ in range(2)]
         gen = lindblad_superoperator(h, jumps)
         assert trace_preservation_residual(gen, d) < 1e-10
+        assert hermiticity_preservation_residual(gen, d) < 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    def test_hermiticity_residual(self):
+        rng = np.random.default_rng(4)
+        d = 3
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = x + x.conj().T
+        # X -> [P, X] with P = |0><0| is -i[iP, X]: trace preserving, and it
+        # maps a Hermitian X to an anti-Hermitian one
+        p = np.diag([1.0, 0.0, 0.0])
+        eye = np.eye(d)
+        gen = np.kron(eye, p) - np.kron(p.T, eye)
+        assert trace_preservation_residual(gen, d) < 1e-15
+        image = apply_superop(gen, x)
+        assert np.abs(image + image.conj().T).max() < 1e-12  # anti-Hermitian
+        assert hermiticity_preservation_residual(gen, d) == pytest.approx(2.0)
+        # the residual is the largest entry of S P - P conj(S)
+        perm = np.eye(d * d)[:, np.arange(d * d).reshape(d, d).T.ravel()]
+        want = np.abs(gen @ perm - perm @ gen.conj()).max()
+        assert hermiticity_preservation_residual(gen, d) == want
+        for bad in (np.nan, np.inf):
+            g = gen.astype(complex)
+            g[1, 2] = bad
+            assert not np.isfinite(hermiticity_preservation_residual(g, d))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvariantViolation):
