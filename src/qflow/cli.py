@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 
@@ -49,25 +50,23 @@ from .witness import (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
-
-
 def _write_csv(args, header: list, rows, **extra) -> None:
     """CSV whose ``#`` line echoes the command, ``extra``, the grid and the
-    seed."""
+    seed.  A column is spelled as its first cell: ``%d`` for bool and
+    integer cells (flags as 1/0), ``%.12g`` for every other number."""
     meta = {"command": args.command, **extra, "tmax": args.tmax,
             "step": args.step, "seed": args.seed}
     buf = io.StringIO()
     echo = " ".join(f"{k}={v}" for k, v in meta.items())
     buf.write(f"# qflow {__version__} {echo}\n")
     buf.write(",".join(header) + "\n")
+    line = None
     for row in rows:
-        buf.write(",".join(_fmt(x) for x in row) + "\n")
+        row = tuple(row)
+        if line is None:
+            line = ",".join("%d" if isinstance(x, (int, np.integer, np.bool_))
+                            else "%.12g" for x in row) + "\n"
+        buf.write(line % row)
     _write_text(args.out, buf.getvalue())
 
 
@@ -87,6 +86,16 @@ def _float_list(text: str):
     if not values:
         raise argparse.ArgumentTypeError("empty list")
     return values
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
 
 
 def _resolve_model(args):
@@ -391,6 +400,7 @@ def _subcommand(sub, name: str, func, help: str, grid=None,
     return p
 
 
+@functools.cache  # one parser per process, built on the first call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qflow",
@@ -405,12 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
             ("fig1b", cmd_fig1b, "equal-time past-future correlation dataset")):
         p = _subcommand(sub, name, func, help, grid=(6.0, 0.01))
         p.add_argument("--phi-over-gamma", type=_float_list,
-                       default=[0.25, 1.0, 4.0])
+                       default=(0.25, 1.0, 4.0))
 
     p = _subcommand(sub, "fig2", cmd_fig2, "driven-environment population "
                     "factor |4 p4 - 1|/3 dataset", grid=(10.0, 0.005))
     p.add_argument("--omega-over-gamma", type=_float_list,
-                   default=[0.0, 0.5, 1.0, 2.0, 5.0])
+                   default=(0.0, 0.5, 1.0, 2.0, 5.0))
 
     _subcommand(sub, "td", cmd_td, "trace-distance series for a model",
                 grid=(6.0, 0.01), model=True)
@@ -427,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "test environment-marginal independence", model=True)
     p = _subcommand(sub, "validate", cmd_validate,
                     "run the oracle/property suite")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
 
     return parser
 

@@ -265,10 +265,12 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
 
 
 def conjugation_superop(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Superoperator of X -> A X B^dag; B defaults to A."""
+    """Superoperator of X -> A X B^dag; B defaults to A.  This is
+    ``np.kron(b.conj(), a)``, entry for entry, as one broadcast product."""
     if b is None:
         b = a
-    return np.kron(b.conj(), a)
+    (m, n), (p, q) = b.shape, a.shape
+    return (b.conj()[:, None, :, None] * a[None, :, None, :]).reshape(m * p, n * q)
 
 
 def kraus_superoperator(kraus) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import io
 import json
@@ -20,6 +21,29 @@ from qflow.witness import cpf_equal_times
 
 def run(argv):
     return main(argv)
+
+
+REPO = Path(__file__).resolve().parents[1]
+FRESH_ENV = {**os.environ, "PYTHONPATH": str(Path(qflow.__file__).resolve().parents[1])}
+
+
+def run_alone(argv):
+    """(exit code, stdout, stderr) of ``argv`` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "qflow.cli", *argv],
+                          env=FRESH_ENV, capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_here(argv):
+    """(exit code, stdout, stderr) of ``argv`` in this process, through the
+    parser that earlier calls built."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 def read_csv(path):
@@ -229,6 +253,14 @@ class TestExitCodes:
             run(["td", "-h"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: qflow td")
+
+    def test_negative_validate_seed_is_config_error(self):
+        code, out, err = run_alone(["validate", "--seed", "-1"])
+        assert code == 2
+        assert out == b""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(b"qflow: configuration error:")
+        assert b"non-negative" in err and b"Traceback" not in err
 
     def test_validate_passes(self, tmp_path):
         out = tmp_path / "validate.txt"
@@ -497,10 +529,88 @@ def test_fuzzed_model_documents_exit_cleanly(cls, pick, kind, tmp_path_factory):
 
 
 def test_cli_import_loads_no_scipy():
-    src = str(Path(qflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, qflow.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=FRESH_ENV, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+class TestParserReuse:
+    def test_built_on_first_call_not_at_import(self):
+        code = ("import qflow.cli as c; n = c.build_parser.cache_info().currsize; "
+                "c.build_parser(); print(n, c.build_parser.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], env=FRESH_ENV,
+                             check=True, capture_output=True, text=True).stdout
+        assert out == "0 1\n"
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("first, second", [
+        (["fig1a", "--phi-over-gamma", "2"], ["fig1a"]),
+        (["cpf", "--skip-zero"], ["cpf"]),
+        (["cpf", "--skip-zero", "--scheme", "x"], ["cpf", "--scheme", "r"]),
+    ], ids=["ratio-list", "flag", "after-parse-error"])
+    def test_values_do_not_leak_between_calls(self, first, second):
+        # ``second`` runs twice, so a default that one call mutates shows too
+        run_here(["td", "--tmax", "0.1"])  # the parser is built and used
+        here = [run_here(first), run_here(second), run_here(second)]
+        alone = [run_alone(first), run_alone(second)]
+        assert here == alone + alone[1:]
+        assert here[0][0] in (0, 2) and here[1][0] == 0
+
+    def test_reproduce_script_matches_three_cli_processes(self, tmp_path):
+        subprocess.run([sys.executable, str(REPO / "scripts" / "reproduce_figures.py"),
+                        "--outdir", str(tmp_path / "script")],
+                       env=FRESH_ENV, check=True, capture_output=True)
+        for cmd in ("fig1a", "fig1b", "fig2"):
+            alone = tmp_path / f"{cmd}.csv"
+            assert run_alone([cmd, "--out", str(alone), "--seed", "42"])[0] == 0
+            assert (tmp_path / "script" / f"{cmd}.csv").read_bytes() == alone.read_bytes()
+
+
+def _reference_cell(x) -> str:
+    """The per-cell CSV spelling of earlier releases."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".12g")
+
+
+class TestCsvSpelling:
+    ARGS = dict(command="bound", tmax=4.0, step=0.05, seed=42, out=None)
+
+    def _written(self, rows, capsys):
+        cli._write_csv(argparse.Namespace(**self.ARGS), ["a", "b", "c", "d", "e"],
+                       rows, model="depolarizing")
+        comment, header, body = capsys.readouterr().out.split("\n", 2)
+        assert comment == ("# qflow 0.1.0 command=bound model=depolarizing "
+                           "tmax=4.0 step=0.05 seed=42")
+        assert header == "a,b,c,d,e"
+        return body
+
+    def test_cells_spelled_as_before(self, capsys):
+        rows = [
+            (0.0, -0.0, 1e-300, 2.5e17, np.True_),
+            (np.float64(-0.0), np.float64(1e-300), np.float64(2.5e17),
+             np.float64(1 / 3), np.False_),
+            (np.float64(0.1), np.float32(0.1), -np.inf, 123456789012.5, np.True_),
+            (6.0, 1e-5, 0.30000000000000004, -7.25e-310, np.False_),
+            (4.0, 0.5, 0.1, np.nan, np.False_),  # bound's last row
+        ]
+        want = "".join(",".join(_reference_cell(x) for x in row) + "\n"
+                       for row in rows)
+        assert self._written(iter(rows), capsys) == want
+
+    def test_integer_columns(self, capsys):
+        rows = [(1, np.int64(-7), True, 0.5, np.bool_(False)),
+                (0, np.int32(12), False, 2.0, np.bool_(True))]
+        want = "".join(",".join(_reference_cell(x) for x in row) + "\n"
+                       for row in rows)
+        assert self._written(rows, capsys) == want == "1,-7,1,0.5,0\n0,12,0,2,1\n"
+
+    def test_no_rows_is_header_only(self, capsys):
+        assert self._written(zip(), capsys) == ""
+        code, out, err = run_here(["cpf", "--skip-zero", "--tmax", "0"])
+        assert code == 0 and err == b""
+        assert out.decode().splitlines()[1:] == ["t,tau,cpf(y=1),cpf(y=-1)"]

@@ -668,6 +668,32 @@ class TestChannelCoefficients:
         for j in range(3):
             assert np.abs(coeffs.channel_column(j) - (1 - w) / 3.0).max() < 1e-9
 
+    @pytest.mark.parametrize("phi", [0.25, 1.0, 4.0])
+    def test_constant_step_matches_staged_stages(self, phi):
+        # a zero modulation takes the stage-by-stage RK4 path on the same
+        # substeps; on validate's grid the two agree to a relative 2e-14
+        grid = TimeGrid.regular(3.0, 0.0025)
+        pops = stationary_populations_vector(1.0, phi)
+        fixed = solve_channel_coefficients(1.0, phi, pops, grid).coeffs
+        staged = solve_channel_coefficients(1.0, phi, pops, grid,
+                                            modulation=lambda t: 0.0).coeffs
+        assert np.abs(fixed - staged).max() <= 1e-13 * np.abs(staged).max()
+
+    @pytest.mark.parametrize("modulation", [None, lambda t: 0.0],
+                             ids=["constant", "staged"])
+    def test_unstable_step_raises_drift(self, modulation):
+        # the fastest mode, lambda = -(gamma + phi), has h * lambda = -5 at step
+        # 0.0025, outside RK4's real stability interval (about -2.79); at step
+        # 0.001 it is -2
+        pops = np.full(4, 0.25)
+        with pytest.raises(NumericalDriftError, match="normalization drift"):
+            solve_channel_coefficients(1000.0, 1000.0, pops,
+                                       TimeGrid.regular(3.0, 0.0025),
+                                       modulation=modulation)
+        solve_channel_coefficients(1000.0, 1000.0, pops,
+                                   TimeGrid.regular(3.0, 0.001),
+                                   modulation=modulation)
+
     @pytest.mark.parametrize("value", [1.0, np.nan], ids=["reaches-one", "nan"])
     def test_bad_modulation_raises(self, value):
         b = lambda t: np.where(t > 0.35, value, 0.2)

@@ -13,6 +13,7 @@ from qflow.qcore import (
     SIGMA_X,
     SIGMA_Z,
     basis_ket,
+    conjugation_superop,
     hermiticity_preservation_residual,
     hermitize,
     kron,
@@ -323,6 +324,20 @@ class TestApplySuperop:
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         s = np.kron(b.T, a)
         assert np.abs(apply_superop(s, x) - a @ x @ b).max() < 1e-12
+
+    @pytest.mark.parametrize("ds", [2, 3])
+    def test_conjugation_superop_is_kron_bit_for_bit(self, ds):
+        # every Kraus operator of every jump, as the stochastic generator
+        # builds them, plus a rectangular pair with B != A
+        rng = np.random.default_rng(ds)
+        m = models.random_stochastic_env(rng, ds=ds, nc=3)
+        for jump in m.jumps:
+            for k in jump.kraus:
+                assert np.array_equal(conjugation_superop(k), np.kron(k.conj(), k))
+        a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        b = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        assert np.array_equal(conjugation_superop(a, b), np.kron(b.conj(), a))
+        assert np.array_equal(conjugation_superop(a.real), np.kron(a.real, a.real))
 
     def test_stationary_state_in_kernel(self):
         gamma = 0.7
