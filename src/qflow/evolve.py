@@ -1,33 +1,25 @@
 """Propagation of bipartite states and closed-form depolarizing solutions.
 
 Time is measured in units of the inverse base rate throughout; the default
-grid step keeps the fastest rate resolved to one percent.  Every
-propagation steps flattened state columns through :func:`advance`, so a
-batch of states shares every propagator, and :func:`stepping_cache` alone
-decides how a model is stepped.  A series loop only steps and stores the
-columns; re-symmetrization and the trace-drift check then run over the
-stored series, a block of times at a time.  Time-independent generators
-use cached matrix exponentials, taken in real arithmetic in a Hermitian
-operator basis when the generator is complex.  Closed (unitary) models
-never build their (ds de)^2-square superoperator: one ``eigh`` of the
-total Hamiltonian gives the N x N unitary u of each time gap, and a step
-is the conjugation X -> u X u^dag of the unflattened columns.  Modulated
-rates fall back to classical fixed-step fourth-order integration, chosen
-over adaptive stepping so outputs are reproducible run to run.  RK4
-assembles its generators as one stack per
-block of substeps, in which each distinct stage time (a substep's start,
-midpoint and end, the end being the next start) appears once, exactly as
-the running sum ``t += h`` gives it.  It steps a block as the ordered
-product of the substeps' linear step matrices, within 1e-13 (relative)
-of stepping the columns substep by substep, and refuses a span of more
-than ``_RK4_MAX_SUBSTEPS`` substeps before stepping it.
+grid step keeps the fastest rate resolved to one percent.  Propagation
+steps flattened state columns, so a batch of states shares every
+propagator.  :func:`stepping_cache` alone picks how a model is stepped,
+as one of three steppers with ``advance(v, t0, t1)``: cached matrix
+exponentials of a constant generator (taken in real arithmetic in a
+Hermitian operator basis when it is complex), the N x N unitaries of a
+closed model from one ``eigh`` of its Hamiltonian (so its
+(ds de)^2-square superoperator is never built), or fixed-step RK4 for
+modulated rates, reproducible run to run where adaptive stepping is not.
+:func:`series` is the one loop that steps columns through a list of
+times; re-symmetrization and the trace-drift check then run over the
+stored series, a block of times at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -145,53 +137,75 @@ def _hermitian_basis(nblocks: int, b: int) -> _HermitianBasis:
     return _HermitianBasis(nblocks, b)
 
 
-@dataclass
 class PropagatorCache:
-    """Cached propagators of one time-independent model, keyed by time gap.
-
-    Built from the eigendecomposition ``(E, V)`` of a Hamiltonian, a
-    propagator is the N x N unitary ``u = V diag(exp(-i E dt)) V^dag``;
-    :func:`advance` applies X -> u X u^dag to unflattened columns and
-    :meth:`carry` takes readout rows the adjoint way, so no N^2 x N^2
-    superoperator is built.  Built from a generator, it is the
-    generator's matrix exponential.  With a Hermitian basis (which
+    """Cached propagators of one time-independent generator, keyed by time
+    gap: its matrix exponential.  Given a Hermitian basis (as
     :func:`stepping_cache` gives a complex generator), the generator is
     changed once into that basis, where it is real, exponentiated in real
-    arithmetic and changed back.
-    """
+    arithmetic and changed back."""
 
-    generator: Optional[np.ndarray]
-    spectrum: Optional[tuple] = None
-    _basis: Optional[_HermitianBasis] = None
-    _real: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _cache: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self._basis is not None:
-            self._real = self._basis.into(self.generator).real
+    def __init__(self, generator: Optional[np.ndarray],
+                 basis: Optional[_HermitianBasis] = None):
+        self.generator, self._basis = generator, basis
+        self._exponent = generator if basis is None else basis.into(generator).real
+        self._cache = {}
 
     def at(self, dt: float) -> np.ndarray:
         key = round(float(dt), 12)
         if key not in self._cache:
-            dt = float(dt)
-            if self.spectrum is not None:
-                energies, vecs = self.spectrum
-                p = (vecs * np.exp(-1j * energies * dt)) @ vecs.conj().T
-            elif self._basis is not None:
-                p = self._basis.back(matrix_exp(self._real * dt).real)
-            else:
-                p = matrix_exp(self.generator * dt)
-            self._cache[key] = p
+            self._cache[key] = self._propagator(float(dt))
         return self._cache[key]
 
+    def _propagator(self, dt: float) -> np.ndarray:
+        p = matrix_exp(_scaled(self._exponent, dt))
+        return p if self._basis is None else self._basis.back(p.real)
+
+    def advance(self, v: np.ndarray, t0: float, t1: float) -> np.ndarray:
+        """Columns ``v`` (D or D x k) stepped from t0 to t1; ``v`` if equal."""
+        if t1 == t0:
+            return v
+        return self.at(t1 - t0) @ v
+
     def carry(self, rows: np.ndarray, dt: float) -> np.ndarray:
-        """rows @ Phi(dt) for readout rows conj(flatten(E)).  A closed model
-        carries E by E -> u^dag E u: a row read as an N x N matrix (C order)
-        is E^dag, which goes the same way."""
-        p = self.at(dt)
-        if self.spectrum is None:
-            return rows @ p
-        return _sandwiched(p.conj().T, rows, p)
+        """rows @ Phi(dt) for readout rows conj(flatten(E))."""
+        return rows @ self.at(dt)
+
+
+def _scaled(generator: np.ndarray, dt: float) -> np.ndarray:
+    """generator * dt, raising NumericalDriftError past the float range."""
+    with np.errstate(over="ignore"):
+        out = generator * dt
+    if not np.isfinite(out).all():
+        raise NumericalDriftError(f"generator times the gap {dt:g} overflows")
+    return out
+
+
+class _ClosedCache(PropagatorCache):
+    """A closed model's propagators from one ``eigh`` (E, V) of its total
+    Hamiltonian: the N x N unitary u = V diag(exp(-i E dt)) V^dag of each
+    gap, applied to unflattened N x N matrices, so no N^2 x N^2
+    superoperator is built."""
+
+    def __init__(self, hamiltonian: np.ndarray):
+        super().__init__(None)
+        self.energies, self.vectors = np.linalg.eigh(hamiltonian)
+
+    def _propagator(self, dt: float) -> np.ndarray:
+        vecs = self.vectors
+        return (vecs * np.exp(-1j * self.energies * dt)) @ vecs.conj().T
+
+    def advance(self, v: np.ndarray, t0: float, t1: float) -> np.ndarray:
+        if t1 == t0:
+            return v
+        # X -> u X u^dag; a column read as N x N in C order is X^T, which
+        # goes to conj(u) X^T u^T
+        u = self.at(t1 - t0)
+        return _sandwiched(u.conj(), v.T, u.T).T
+
+    def carry(self, rows: np.ndarray, dt: float) -> np.ndarray:
+        # E -> u^dag E u; a row read as N x N in C order is E^dag, alike
+        u = self.at(dt)
+        return _sandwiched(u.conj().T, rows, u)
 
 
 def _sandwiched(a: np.ndarray, flat: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,25 +216,50 @@ def _sandwiched(a: np.ndarray, flat: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ z @ b).reshape(flat.shape)
 
 
-def stepping_cache(model, stepper: str = "auto"):
-    """Propagator cache to step the model with, or None for RK4.
+class _RK4Stepper:
+    """Fixed-step RK4 at absolute times, with substeps of at most ``step``
+    (the model's default when None).  It cannot ``carry`` readout rows."""
+
+    def __init__(self, model, step: Optional[float]):
+        self.model, self.step = model, step
+
+    def advance(self, v: np.ndarray, t0: float, t1: float) -> np.ndarray:
+        if t1 == t0:
+            return v
+        return _rk4_span(self.model, v, t0, t1, self.step)
+
+
+def stepping_cache(model, stepper: str = "auto",
+                   step: Optional[float] = None):
+    """The stepper of a model, whose ``advance(v, t0, t1)`` steps flattened
+    state columns: the one place that picks how a model is stepped.
     ``stepper`` is "auto" (exponentials when the generator is constant) or
-    "rk4".  A closed model is diagonalized once in state space instead of
-    exponentiating its superoperator; a complex generator is exponentiated
-    in the Hermitian basis of the representation's blocks (ds x ds per
-    label when stacked, one N x N block when full)."""
+    "rk4" (substeps of at most ``step``).  A closed model is diagonalized
+    once in state space; a complex generator is exponentiated in the
+    Hermitian basis of the representation's blocks (ds x ds per label when
+    stacked, one N x N block when full)."""
     if stepper not in ("auto", "rk4"):
         raise InvariantViolation(f"unknown stepper {stepper!r}")
     if models.is_time_dependent(model) or stepper == "rk4":
-        return None
+        return _RK4Stepper(model, step)
     if isinstance(model, models.UnitaryModel):
-        return PropagatorCache(None, np.linalg.eigh(model.total_hamiltonian()))
+        return _ClosedCache(model.total_hamiltonian())
     gen = models.assemble_generator(model)
     if not gen.imag.any():
         return PropagatorCache(gen)
     ds, de = models.dims(model)
     blocks = (de, ds) if models.uses_stacked(model) else (1, ds * de)
-    return PropagatorCache(gen, _basis=_hermitian_basis(*blocks))
+    return PropagatorCache(gen, _hermitian_basis(*blocks))
+
+
+def series(stepper, v: np.ndarray, times, t0: float = 0.0) -> np.ndarray:
+    """The columns ``v`` stepped from t0 through the increasing ``times``,
+    stacked one entry per time: shape (len(times),) + v.shape."""
+    out = np.empty((len(times),) + v.shape, dtype=complex)
+    for i, t in enumerate(times):
+        v = out[i] = stepper.advance(v, t0, t)
+        t0 = t
+    return out
 
 
 # entries in the stack of stage generators one RK4 block holds, which keeps
@@ -233,6 +272,9 @@ _RK4_STACK_ENTRIES = 2 ** 14
 _RK4_MAX_SUBSTEPS = 10 ** 7
 
 
+# a substep far too long overflows to non-finite columns, which the callers'
+# trace and tensor checks report
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4_span(model, v: np.ndarray, t0: float, t1: float,
               step: Optional[float] = None) -> np.ndarray:
     """Fixed-step integration of flattened state columns from t0 to t1.
@@ -292,24 +334,6 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def advance(model, v: np.ndarray, t0: float, t1: float,
-            step: Optional[float] = None,
-            cache: Optional[PropagatorCache] = None) -> np.ndarray:
-    """Step flattened state columns, a vector or a D x k matrix, from t0 to
-    t1 (absolute times): through ``cache`` when given, by RK4 otherwise.
-    A zero span returns ``v`` itself."""
-    if t1 == t0:
-        return v
-    if cache is None:
-        return _rk4_span(model, v, t0, t1, step)
-    p = cache.at(t1 - t0)
-    if cache.spectrum is None:
-        return p @ v
-    # a closed model: X -> u X u^dag, and a column read as an N x N matrix
-    # (C order) is X^T, which goes to conj(u) X^T u^T
-    return _sandwiched(p.conj(), v.T, p.T).T
-
-
 def _columns(model, states) -> np.ndarray:
     """States, with any leading batch axes, as the columns of a D x k matrix."""
     v = models.flatten_state(model, states)
@@ -334,8 +358,7 @@ def propagate_interval(model, state, t0: float, t1: float,
                        step: Optional[float] = None):
     """Evolve bipartite states, with any leading batch axes, from t0 to t1
     (absolute times); trace drift as in :func:`propagate` raises."""
-    v = advance(model, _columns(model, state), t0, t1, step,
-                stepping_cache(model))
+    v = stepping_cache(model, step=step).advance(_columns(model, state), t0, t1)
     out = models.unflatten_state(model, v.T).reshape(np.shape(state))
     _check_trace_drift(model, out[None], models.state_trace(model, state), [t1])
     return out
@@ -358,15 +381,9 @@ def propagate(model, state0, grid: TimeGrid, stepper: str = "auto"):
     state beyond 1e-8 (or a non-finite trace) raises, naming the first such
     time; states are never re-normalized.
     """
-    cache = stepping_cache(model, stepper)
     v = _columns(model, state0)
-    flat = np.empty((grid.times.size,) + v.T.shape, dtype=complex)
-    prev_t = 0.0
-    for i, t in enumerate(grid.times):
-        v = advance(model, v, prev_t, t, grid.step, cache)
-        flat[i] = v.T
-        prev_t = t
-    states = models.unflatten_state(model, flat).reshape(
+    flat = series(stepping_cache(model, stepper, grid.step), v, grid.times)
+    states = models.unflatten_state(model, flat.swapaxes(1, 2)).reshape(
         grid.times.shape + np.shape(state0))
     trace0 = models.state_trace(model, state0)
     block = max(1, _SERIES_BLOCK_ENTRIES // v.size)
@@ -552,13 +569,14 @@ def solve_channel_coefficients(gamma: float, phi: float, populations0,
                                coeffs=out.reshape(-1, 4, 4))
 
 
-def adiabatic_weight(gamma: float, phi: float, b, t, populations0=None):
+def adiabatic_weight(gamma: float, phi: float, b, t):
     """Slow-modulation channel weight in the long-time regime.
 
     The populations relax to the instantaneous stationary values while the
     coefficient dynamics conserves the total weight of the identity-plus-
     matching-Pauli columns; the surviving weight is the overlap of the
-    initial populations with the instantaneous stationary ones:
+    initial populations, stationary at the base rates, with the
+    instantaneous stationary ones:
 
         w(t) = sum_k p_k(0) * p_k_stationary(t)
 
@@ -577,9 +595,7 @@ def adiabatic_weight(gamma: float, phi: float, b, t, populations0=None):
     bt = np.asarray(b(t) if callable(b) else b, dtype=float)
     if not np.all(np.abs(bt) < 1.0):  # NaN fails
         raise InvariantViolation("modulation must stay inside (-1, 1)")
-    if populations0 is None:
-        populations0 = stationary_populations_vector(gamma, phi)
-    pops = np.asarray(populations0, dtype=float)
+    pops = stationary_populations_vector(gamma, phi)
     gamma_t = gamma * (1.0 + bt)
     phi_t = phi * (1.0 - bt)
     total = gamma_t + phi_t
@@ -606,17 +622,11 @@ def coherent_weight_series(gamma: float, phi: float, omega: float,
     check_rate_pair(gamma, phi)
     check_rate(omega, "drive frequency")
     driven = models._depolarizing_general(gamma, phi, omega, stacked=False)
-    cache = PropagatorCache(driven.env_generator())
     env = np.zeros((4, 4), dtype=complex)
     env[3, 3] = 1.0
-    v = vec(env)
-    level4 = np.empty(grid.times.size, dtype=complex)
-    prev_t = 0.0
-    for i, t in enumerate(grid.times):
-        v = advance(None, v, prev_t, t, cache=cache)
-        level4[i] = v[15]  # <4|env|4>, entry 3 + 4 * 3 of the stacked columns
-        prev_t = t
-    out = level4.real
+    # <4|env|4> is entry 3 + 4 * 3 of the column-stacked state
+    out = series(PropagatorCache(driven.env_generator()), vec(env),
+                 grid.times)[:, 15].real
     if not np.isfinite(out).all():
         raise NumericalDriftError(
             f"level-4 population is not finite at omega={omega:g}")

@@ -255,7 +255,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         # the 1-norm is not finite when an entry is not, or when it overflows
         norm = float(np.abs(a).sum(axis=0).max())
-        if not norm < np.inf and not np.isfinite(m.view(float)).all():
+        if not norm < np.inf and not np.isfinite(m).all():
             raise InvariantViolation("matrix_exp requires finite entries")
         x = _pade_exp(a, norm) if norm < np.inf else None
     if x is None or not np.isfinite(x).all():
@@ -337,22 +337,20 @@ def hermiticity_preservation_residual(s: np.ndarray, dim: int) -> float:
         return float(np.abs(s[:, swap] - s[swap].conj()).max())
 
 
-def validate_density_matrix(rho: np.ndarray,
-                            herm_tol: float = HERMITIAN_TOL,
-                            trace_tol: float = TRACE_TOL,
-                            psd_tol: float = POSITIVITY_TOL) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the input."""
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     if rho.ndim != 2 or rho.shape != (d, d):
         raise InvariantViolation("density matrix must be square")
-    if not np.all(np.isfinite(rho.view(float))):
+    if not np.isfinite(rho).all():
         raise InvariantViolation("density matrix has non-finite entries")
-    if np.abs(rho - dag(rho)).max() > herm_tol:
+    if np.abs(rho - dag(rho)).max() > HERMITIAN_TOL:
         raise InvariantViolation("density matrix not Hermitian within 1e-10")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
-        raise InvariantViolation(f"trace {np.trace(rho):.12g} differs from 1")
-    if np.linalg.eigvalsh(hermitize(rho)).min() < -psd_tol:
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
+        raise InvariantViolation(f"trace {trace:.12g} differs from 1")
+    if np.linalg.eigvalsh(hermitize(rho)).min() < -POSITIVITY_TOL:
         raise InvariantViolation("density matrix has a negative eigenvalue")
     return rho
 

@@ -21,12 +21,12 @@ tensors P[z, y, x] = Re Tr[Pi_z Phi_tau R_y Phi_t (Pi_x (x) rho_E)] on a
 product grid of (t, tau) or on the equal-time diagonal; the single-point,
 product-grid and equal-time functions are thin wrappers around it.  It
 steps the past states once along the ts and builds the relays of a block
-of ts at once.  For a time-independent model it reads outcome z at
-(t, tau) as (rows @ Phi(tau)) . relay(t): the readout rows
+of ts at once.  When the stepper carries readout rows (a time-independent
+model), outcome z at (t, tau) is (rows @ Phi(tau)) . relay(t): the rows
 conj(flatten(Pi_z (x) 1_E)) are carried once across the gaps of the taus,
 and one matrix product per block reads the product grid and the diagonal
-alike, with no exponential per t.  Modulated rates step each t's relays
-across its taus, since their RK4 stages sit at absolute times.
+alike, with no exponential per t.  The RK4 stepper of modulated rates
+steps each t's relays across its taus instead.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import models
-from .evolve import (TimeGrid, advance, propagate, propagate_interval,
+from .evolve import (TimeGrid, propagate, propagate_interval, series,
                      stepping_cache)
 from .qcore import (
     InvariantViolation,
@@ -222,13 +222,13 @@ def _bound_terms(model, r, s) -> np.ndarray:
 
 def trace_distance_series(model, rho0s, sigma0s, env0=None,
                           grid: TimeGrid = None,
-                          revival_tol: float = REVIVAL_TOL,
                           with_bound_terms: bool = False,
                           stepper: str = "auto") -> TdTrace:
     """Distinguishability of two system preparations over a time grid.
 
     Both preparations share the initial environment ``env0`` (the model
-    default when omitted) and are propagated together as one pair.
+    default when omitted) and are propagated together as one pair.  A time
+    is flagged as a revival when the next value rises by more than 1e-6.
     """
     if grid is None:
         raise InvariantViolation("a TimeGrid is required")
@@ -243,7 +243,7 @@ def trace_distance_series(model, rho0s, sigma0s, env0=None,
                                 models.sys_marginal(model, series_s))
         env_terms = corr_r = corr_s = None
     revivals = np.zeros(values.size, dtype=bool)
-    revivals[:-1] = np.diff(values) > revival_tol
+    revivals[:-1] = np.diff(values) > REVIVAL_TOL
     return TdTrace(times=np.array(grid.times), values=values, revivals=revivals,
                    env_terms=env_terms, corr_rho=corr_r, corr_sigma=corr_s)
 
@@ -296,7 +296,7 @@ def _check_tensor(p: np.ndarray) -> np.ndarray:
 _CPF_BLOCK_ENTRIES = 2 ** 12
 
 
-def _effects(rows: np.ndarray, taus: np.ndarray, cache) -> np.ndarray:
+def _effects(rows: np.ndarray, taus: np.ndarray, stepper) -> np.ndarray:
     """The readout rows carried to every tau, rows @ Phi(tau), shape
     taus.shape + rows.shape: one product per gap of the taus, which run
     through increasing values."""
@@ -304,7 +304,7 @@ def _effects(rows: np.ndarray, taus: np.ndarray, cache) -> np.ndarray:
     e, prev_tau = rows, 0.0
     for i, tau in enumerate(taus.flat):
         if tau != prev_tau:
-            e = cache.carry(e, tau - prev_tau)
+            e = stepper.carry(e, tau - prev_tau)
         out[i], prev_tau = e, tau
     return out.reshape(taus.shape + rows.shape)
 
@@ -335,11 +335,11 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus, scheme, policy,
 
     The nx conditioned past states are stepped along ts as flattened-state
     columns, and the relays of a block of times are built at once.  The row
-    conj(flatten(Pi_z (x) 1_E)) reads outcome z out of a relay.  For a
-    time-independent model the rows are carried instead, once across the
-    gaps of the taus, and the effects rows @ Phi(tau) read every (t, tau)
-    of a block with one matrix product.  Modulated rates step each t's
-    relays across its taus, since the stages of RK4 sit at absolute times.
+    conj(flatten(Pi_z (x) 1_E)) reads outcome z out of a relay.  A stepper
+    that can ``carry`` the rows carries them instead, once across the gaps
+    of the taus, and the effects rows @ Phi(tau) read every (t, tau) of a
+    block with one matrix product.  The RK4 stepper steps each t's relays
+    across its taus, since its stages sit at absolute times.
     Each readout is weighted by the policy (random scheme) or by one
     (deterministic scheme).
     """
@@ -360,7 +360,8 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus, scheme, policy,
     taus = np.asarray(taus, dtype=float)
     check_increasing(ts, "ts")
     check_increasing(taus, "taus")
-    cache = stepping_cache(model)
+    stepper = stepping_cache(model, step=step)
+    carries = hasattr(stepper, "carry")
     kets_x = spec_x.vectors.T
     pxs = np.array([(ket.conj() @ rho0s @ ket).real for ket in kets_x])
     rows = models.flatten_state(model, models.product_with_env(
@@ -369,34 +370,25 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus, scheme, policy,
     past = np.stack([models.flatten_state(model, models.initial_state(
         model, projector(ket), env0)) for ket in kets_x], axis=1)
     nt, ntau, dim = ts.size, taus.shape[1], rows.shape[1]
-    effects = None if cache is None else _effects(rows, taus, cache)
+    effects = _effects(rows, taus, stepper) if carries else None
     taus_of = np.broadcast_to(taus, (nt, ntau))
     ds, de = models.dims(model)
-    per_t = nx * ny * ((ds * de) ** 2 + ntau * (dim if cache is None else nz))
+    per_t = nx * ny * ((ds * de) ** 2 + ntau * (nz if carries else dim))
     block = max(1, _CPF_BLOCK_ENTRIES // per_t)
     readouts = np.empty((nt, ntau, nz, nx * ny))
     prev_t = 0.0
     for first in range(0, nt, block):
         times = ts[first:first + block]
-        rows_of_past = np.empty((times.size,) + past.T.shape, dtype=complex)
-        for i, t in enumerate(times):
-            past = advance(model, past, prev_t, t, step, cache)
-            rows_of_past[i] = past.T
-            prev_t = t
-        relays = _relays(model, rows_of_past, scheme, spec_y)
-        if cache is None:
-            stepped = np.empty((times.size, ntau) + relays.shape[1:],
-                               dtype=complex)
-            for i, t in enumerate(times):
-                r, prev_tau = relays[i], 0.0
-                for j, tau in enumerate(taus_of[first + i]):
-                    r = stepped[i, j] = advance(model, r, t + prev_tau,
-                                                t + tau, step)
-                    prev_tau = tau
-            readout = rows @ stepped
-        else:
+        pasts = series(stepper, past, times, prev_t)
+        past, prev_t = pasts[-1], times[-1]
+        relays = _relays(model, pasts.swapaxes(1, 2), scheme, spec_y)
+        if carries:
             part = effects[first:first + block] if len(effects) > 1 else effects
             readout = part @ relays[:, None]
+        else:
+            readout = rows @ np.array([
+                series(stepper, r, t + taus_of[first + i], t)
+                for i, (t, r) in enumerate(zip(times, relays))])
         readouts[first:first + block] = readout.real
     # relay columns run over (ix, iy); the tensor is indexed [z, y, x]
     readouts = readouts.reshape(nt, ntau, nz, nx, ny).swapaxes(-1, -2)

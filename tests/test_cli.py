@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import qflow
 from qflow import cli, models
@@ -406,6 +406,56 @@ class TestExitCodes:
         model.write_text(json.dumps(doc), encoding="utf-8")
         self._assert_config_error(run(command + ["--model", str(model)]), capsys)
 
+    # one-level systems pass every other model check; a real 2 x 2 matrix
+    # in the document's [re, im] pairs is [[[a, 0], [b, 0]], [[c, 0], [d, 0]]]
+    ONE_LEVEL_DOCUMENTS = {
+        "mixture": {"class": "classical_mixture",
+                    "parameters": {"generators": [[[[0.0, 0.0]]]] * 2},
+                    "initial_env": [0.5, 0.5]},
+        "unitary": {"class": "unitary",
+                    "parameters": {
+                        "h_system": [[[1.0, 0.0]]],
+                        "h_env": [[[0.0, 0.0], [1.0, 0.0]],
+                                  [[1.0, 0.0], [0.0, 0.0]]],
+                        "h_interaction": [[[0.0, 0.0], [0.5, 0.0]],
+                                          [[0.5, 0.0], [0.0, 0.0]]]},
+                    "initial_env": [[[1.0, 0.0], [0.0, 0.0]],
+                                    [[0.0, 0.0], [0.0, 0.0]]]},
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["td"], ["bound"], ["cpf"],
+                                         ["check-bystander"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("name", sorted(ONE_LEVEL_DOCUMENTS))
+    def test_one_level_systems_are_config_errors(self, command, name, tmp_path,
+                                                 capsys):
+        doc = {"format": "qflow-model/1", **self.ONE_LEVEL_DOCUMENTS[name]}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        self._assert_config_error(run(command + ["--model", str(model)]), capsys)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--step", "1e200", "--phi", "1e200"],
+        ["td", "--step", "1e200", "--omega", "1e200"],
+        ["cpf", "--step", "1e200", "--omega", "1e200"],
+        ["td", "--step", "1e300", "--model", "modulated"],
+    ], ids=["real-generator", "hermitian-basis", "cpf", "rk4"])
+    def test_overflowing_time_gaps_are_numeric_breach(self, argv, tmp_path,
+                                                      capsys):
+        # one gap of 1e200 or more: G dt, or an RK4 substep, overflows
+        if "modulated" in argv:
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(_FUZZ_DOCUMENTS["DepolarizingModel"]),
+                             encoding="utf-8")
+            argv = argv[:-1] + [str(model)]
+        assert run(argv + ["--tmax", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qflow: numeric invariant breached:")
+
     @pytest.mark.parametrize("command", [["td"], ["cpf"], ["cpf", "--scheme", "r"]])
     def test_overflowing_rates_are_numeric_breach(self, command, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -526,6 +576,109 @@ def test_fuzzed_model_documents_exit_cleanly(cls, pick, kind, tmp_path_factory):
     else:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1, (path, kind)
+
+
+# The argv fuzz draws a subcommand, a subset of its flags and one value per
+# flag: an ordinary value half of the time, an edge value otherwise.  --tmax
+# is always given, at 0.5 when ordinary, so an accepted grid has about 100
+# points or fewer (fig2 at its default step: 101).
+_EDGE_NUMBERS = ["nan", "inf", "-inf", "-0.75", "0", "1e-300", "1e200",
+                 "1e300", "x"]
+
+
+def _number(ordinary):
+    return st.one_of(st.just(ordinary), st.sampled_from(_EDGE_NUMBERS))
+
+
+_GRID_FLAGS = ("--tmax", "--step", "--seed")
+_MODEL_FLAGS = ("--gamma", "--phi", "--omega", "--model")
+_ARGV_FLAGS = {
+    "fig1a": _GRID_FLAGS + ("--phi-over-gamma",),
+    "fig1b": _GRID_FLAGS + ("--phi-over-gamma",),
+    "fig2": _GRID_FLAGS + ("--omega-over-gamma",),
+    "td": _GRID_FLAGS + _MODEL_FLAGS,
+    "bound": _GRID_FLAGS + _MODEL_FLAGS,
+    "cpf": _GRID_FLAGS + _MODEL_FLAGS + ("--scheme", "--skip-zero"),
+    "check-bystander": _MODEL_FLAGS,
+    "validate": ("--seed",),
+}
+_RATIO_LISTS = st.lists(_number("1"), max_size=3).map(",".join)
+_ARGV_VALUES = {
+    "--gamma": _number("1"),
+    "--phi": _number("0.7"),
+    "--omega": _number("1.5"),
+    "--tmax": _number("0.5"),
+    "--step": _number("0.1"),
+    "--seed": _number("3"),
+    "--scheme": st.sampled_from(["d", "r", "x", ""]),
+    "--phi-over-gamma": _RATIO_LISTS,
+    "--omega-over-gamma": _RATIO_LISTS,
+    "--model": st.sampled_from(["missing", "directory"]
+                               + sorted(_FUZZ_DOCUMENTS)),
+    "--out": st.sampled_from(["-", "directory"]),
+}
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    """A missing file, a directory and one valid model file per class."""
+    root = tmp_path_factory.mktemp("argv")
+    paths = {"missing": root / "missing.json", "directory": root}
+    for cls, doc in _FUZZ_DOCUMENTS.items():
+        paths[cls] = root / f"{cls}.json"
+        paths[cls].write_text(json.dumps(doc), encoding="utf-8")
+    return {key: str(path) for key, path in paths.items()}
+
+
+def _nan_allowed(command, header, last):
+    """Whether a NaN cell is documented: ``bound``'s last-row next terms,
+    ``cpf``'s values of negligible conditional probability."""
+    if command == "bound":
+        return last and header in ("increment_next", "slack_next")
+    return command == "cpf" and header.startswith("cpf(")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exit_cleanly(data, argv_paths):
+    """Any subcommand with any subset of its flags at edge values: exit 0,
+    2 or 3 (``validate`` also 1, its failed verdict), no traceback, one
+    stderr line on an error, and no NaN outside the documented cells."""
+    command = data.draw(st.sampled_from(sorted(_ARGV_FLAGS)), label="command")
+    known = _ARGV_FLAGS[command] + ("--out",)
+    given_ = data.draw(st.lists(st.booleans(), min_size=len(known),
+                                max_size=len(known)), label="flags")
+    argv = [command]
+    for flag, drawn in zip(known, given_):
+        if not (drawn or flag == "--tmax"):
+            continue
+        if flag == "--skip-zero":
+            argv.append(flag)
+            continue
+        value = data.draw(_ARGV_VALUES[flag], label=flag)
+        if flag in ("--model", "--out"):
+            value = argv_paths.get(value, value)
+        argv.append(f"{flag}={value}")
+    code, out, err = run_here(argv)
+    out, err = out.decode(), err.decode()
+    event(f"{command} exit {code}")
+    assert code in ((0, 1, 2, 3) if command == "validate" else (0, 2, 3)), argv
+    assert "Traceback" not in err, argv
+    if code in (2, 3):
+        assert out == "" and len(err.splitlines()) == 1, (argv, err)
+        return
+    assert err == "", argv
+    if command in ("check-bystander", "validate"):
+        return
+    # a directory --out exits 2, so a success wrote its CSV to stdout
+    lines = out.splitlines()
+    header = lines[1].split(",")
+    for i, line in enumerate(lines[2:]):
+        for name, cell in zip(header, line.split(",")):
+            if not np.isfinite(float(cell)):
+                assert cell == "nan" and _nan_allowed(
+                    command, name, i == len(lines) - 3), (argv, i, name, cell)
 
 
 def test_cli_import_loads_no_scipy():

@@ -90,25 +90,68 @@ class TestPropagatorCache:
         cache = PropagatorCache(gen)
         assert cache.at(0.5) is cache.at(0.5)
 
+    # RK4 at step 1e-3 stays within 2e-10 of the exponential on these models
+    RK4_STEP, RK4_TOL = 1e-3, 1e-8
+
     @pytest.mark.parametrize("de", [2, 3, 4, 6])
     def test_unitary_eigh_matches_superoperator_exponential(self, de):
+        # every stepping form against the exponential of the assembled
+        # generator: closed models in state space, a real generator, a
+        # complex one (Hermitian basis) and RK4
         rng = np.random.default_rng(100 + de)
-        for m in (random_unitary_model(rng, de=de), exchange_preset(),
-                  commuting_interaction_preset()):
-            cache = stepping_cache(m)
-            assert cache.generator is None
+        forms = [(m, "auto", evolve._ClosedCache, 1e-12) for m in (
+            random_unitary_model(rng, de=de), exchange_preset(),
+            commuting_interaction_preset())]
+        forms += [
+            (DepolarizingModel(gamma=1.0, phi=0.5 * de), "auto",
+             PropagatorCache, 1e-12),
+            (random_stochastic_env(rng, nc=de), "auto", PropagatorCache, 1e-12),
+            (random_stochastic_env(rng, nc=de), "rk4", evolve._RK4Stepper,
+             self.RK4_TOL),
+        ]
+        assert not models.assemble_generator(forms[3][0]).imag.any()
+        assert models.assemble_generator(forms[4][0]).imag.any()
+        for m, kind, form, tol in forms:
+            stepper = stepping_cache(m, kind, self.RK4_STEP)
+            assert type(stepper) is form
             gen = models.assemble_generator(m)
             d = gen.shape[0]
             cols = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
             rows = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
             for dt in (0.05, 0.7, 2.0):
-                # the action of the N x N unitary on states and readout rows
                 want = matrix_exp(gen * dt)
-                got = evolve.advance(m, cols, 0.0, dt, cache=cache)
-                assert np.abs(got - want @ cols).max() < 1e-12
-                got = evolve.advance(m, cols[:, 0], 0.0, dt, cache=cache)
-                assert np.abs(got - want @ cols[:, 0]).max() < 1e-12
-                assert np.abs(cache.carry(rows, dt) - rows @ want).max() < 1e-12
+                got = stepper.advance(cols, 0.0, dt)
+                assert np.abs(got - want @ cols).max() < tol
+                got = stepper.advance(cols[:, 0], 0.0, dt)
+                assert np.abs(got - want @ cols[:, 0]).max() < tol
+                assert stepper.advance(cols, dt, dt) is cols
+                if form is evolve._RK4Stepper:
+                    assert not hasattr(stepper, "carry")
+                else:
+                    assert np.abs(stepper.carry(rows, dt) - rows @ want).max() < tol
+            times = [0.5, 0.5, 0.55, 1.25, 1.95]  # gaps 0, 0.05, 0.7, 0.7
+            chained, v, t0 = [], cols, 0.5
+            for t in times:
+                v = stepper.advance(v, t0, t)
+                chained.append(v)
+                t0 = t
+            got = evolve.series(stepper, cols, times, t0=0.5)
+            assert got.shape == (len(times), d, 3)
+            assert np.array_equal(got, np.array(chained))
+
+    def test_empty_time_lists_keep_their_shapes(self):
+        m = DepolarizingModel(gamma=1.0, phi=0.7)
+        state0 = models.initial_state(m, np.diag([1.0, 0.0]))
+        assert propagate(m, state0, TimeGrid(times=[], step=0.1)).shape == (
+            0, 4, 2, 2)
+        rho0s, specs = witness.reference_measurements()
+        modulated = DepolarizingModel(gamma=1.0, phi=0.7,
+                                      modulation=sine_modulation(0.5, 1.0))
+        for model in (m, exchange_preset(), modulated):
+            assert witness.cpf_grid(model, rho0s, None, specs, [],
+                                    [0.5]).values.shape == (2, 0, 1)
+            assert witness.cpf_grid(model, rho0s, None, specs, [0.5],
+                                    []).values.shape == (2, 1, 0)
 
     COMPLEX_GENERATORS = [pytest.param(make, id=name) for name, make in (
         ("stochastic", lambda rng: random_stochastic_env(rng, nc=3)),
@@ -492,14 +535,14 @@ class TestPropagate:
         # the steps from t = 0.5 on gain 1% of trace, so the drift first
         # passes 1e-8 at t = 0.5 and grows after it; one time per block
         # checks the offsets of the blocks after the first
-        advance = evolve.advance
+        advance = PropagatorCache.advance
         monkeypatch.setattr(evolve, "_SERIES_BLOCK_ENTRIES", 1)
 
-        def leaky(model, v, t0, t1, *args, **kwargs):
-            out = advance(model, v, t0, t1, *args, **kwargs)
+        def leaky(cache, v, t0, t1):
+            out = advance(cache, v, t0, t1)
             return 1.01 * out if t1 >= 0.5 else out
 
-        monkeypatch.setattr(evolve, "advance", leaky)
+        monkeypatch.setattr(PropagatorCache, "advance", leaky)
         m = random_stochastic_env(np.random.default_rng(4), nc=3)
         rho0 = random_density_matrix(np.random.default_rng(5), 2)
         with pytest.raises(NumericalDriftError, match=r"at t=0\.5 exceeds"):

@@ -173,8 +173,11 @@ class TestMatrixExp:
         rhs = matrix_exp(a) @ matrix_exp(b)
         assert np.abs(lhs - rhs).max() < 1e-9
 
-    def test_nonfinite_rejected(self):
-        bad = np.array([[np.inf, 0.0], [0.0, 0.0]])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_nonfinite_rejected(self, order):
+        # a column-major input, as a Hermitian-basis generator is, raised a
+        # ValueError from the finiteness check
+        bad = np.array([[np.inf, 0.0], [1.0, 0.0]], order=order)
         with pytest.raises(InvariantViolation):
             matrix_exp(bad)
 
@@ -353,6 +356,17 @@ class TestApplySuperop:
 class TestValidateDensityMatrix:
     def test_accepts_valid(self):
         validate_density_matrix(np.eye(2) / 2)
+
+    def test_accepts_a_column_major_matrix(self):
+        # the finiteness check raised a ValueError on a transposed view
+        rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
+        assert validate_density_matrix(rho.T) is not None
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rejects_non_finite(self, order):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            validate_density_matrix(np.array([[np.nan, 0], [0, 0.5j]],
+                                             order=order))
 
     def test_rejects_trace(self):
         with pytest.raises(InvariantViolation):
