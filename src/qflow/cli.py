@@ -23,6 +23,7 @@ from . import __version__, models
 from .evolve import (
     TimeGrid,
     coherent_weight_series,
+    default_rk4_step,
     depolarizing_weight,
     solve_channel_coefficients,
     stationary_populations_vector,
@@ -228,9 +229,19 @@ def cmd_fig2(args) -> int:
 # sweep commands
 # ---------------------------------------------------------------------------
 
+def _series_grid(model, args) -> TimeGrid:
+    """The output grid of ``td`` and ``bound``.  Its step is the RK4 substep
+    of a time-dependent model, so there it is at most the model's default,
+    as ``cpf`` integrates; the output times stay those of ``--step``."""
+    grid = TimeGrid.regular(args.tmax, args.step)
+    if not models.is_time_dependent(model):
+        return grid
+    return TimeGrid(grid.times, min(grid.step, default_rk4_step(model)))
+
+
 def cmd_td(args) -> int:
     model = _resolve_model(args)
-    grid = TimeGrid.regular(args.tmax, args.step)
+    grid = _series_grid(model, args)
     up, down = _preset_pair(model.ds)
     trace = trace_distance_series(model, up, down, grid=grid)
     header = ["t", "trace_distance", "revival"]
@@ -243,7 +254,7 @@ def cmd_bound(args) -> int:
     """Bound terms per grid point; the last row has no next point, so its
     ``increment_next`` and ``slack_next`` are NaN (the only NaN cells)."""
     model = _resolve_model(args)
-    grid = TimeGrid.regular(args.tmax, args.step)
+    grid = _series_grid(model, args)
     up, down = _preset_pair(model.ds)
     trace = trace_distance_series(model, up, down, grid=grid,
                                   with_bound_terms=True)

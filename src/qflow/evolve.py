@@ -9,7 +9,9 @@ exponentials of a constant generator (taken in real arithmetic in a
 Hermitian operator basis when it is complex), the N x N unitaries of a
 closed model from one ``eigh`` of its Hamiltonian (so its
 (ds de)^2-square superoperator is never built), or fixed-step RK4 for
-modulated rates, reproducible run to run where adaptive stepping is not.
+modulated rates, reproducible run to run where adaptive stepping is not:
+a block of up to 63 substeps (at D = 16) is one assembly of its stage
+generators and one product of its step matrices.
 :func:`series` is the one loop that steps columns through a list of
 times; re-symmetrization and the trace-drift check then run over the
 stored series, a block of times at a time.
@@ -41,6 +43,12 @@ from .qcore import (
 def default_step(*rates: float) -> float:
     """Default integration step, 0.01 over the fastest scale (at least 1)."""
     return 0.01 / max(1.0, *[abs(r) for r in rates])
+
+
+def default_rk4_step(model) -> float:
+    """Default RK4 substep of a depolarizing model, whose modulated rates
+    stay below twice the base."""
+    return default_step(2.0 * max(model.gamma, model.phi), model.omega)
 
 
 @dataclass(frozen=True)
@@ -263,8 +271,9 @@ def series(stepper, v: np.ndarray, times, t0: float = 0.0) -> np.ndarray:
 
 
 # entries in the stack of stage generators one RK4 block holds, which keeps
-# its memory small: 63 generators, the stage times of 31 substeps, at D = 16
-_RK4_STACK_ENTRIES = 2 ** 14
+# its memory small: 256 kB of float64 at 2^15, the 127 stage times of 63
+# substeps at D = 16, so a unit gap at step 0.02 (50 substeps) is one block
+_RK4_STACK_ENTRIES = 2 ** 15
 
 # most substeps one RK4 span may take, about two minutes of stepping a pair
 # of states at D = 16 (2 cores, OpenBLAS); the longest span in the tests and
@@ -282,21 +291,23 @@ def _rk4_span(model, v: np.ndarray, t0: float, t1: float,
     A substep from t to t + h needs the generator at t, t + h/2 and t + h,
     and its end is the next substep's start, so one ``assemble_generator``
     call per block of m substeps builds the 2 m + 1 distinct stage times.
-    The starts are one sequential sum, the same bits as ``t += h``.  With
-    A, B, C the generators at t, t + h/2, t + h, a substep is v -> S v with
+    A block holds as many substeps as keep that stack within
+    ``_RK4_STACK_ENTRIES`` entries (63 at D = 16, 3 at D = 64).  The starts
+    are one sequential sum, the same bits as ``t += h``.  With G1, G2, G3
+    the generators at t, t + h/2, t + h, a substep is v -> S v with
 
-        K2 = B + (h/2) B A,   K3 = B + (h/2) B K2,   K4 = C + h C K3,
-        S = I + (h/6) (A + 2 K2 + 2 K3 + K4),
+        K2 = G2 (I + (h/2) G1),   K3 = G2 (I + (h/2) K2),   K4 = G3 (I + h K3),
+        S = I + (h/6) (G1 + 2 (K2 + K3) + K4),
 
-    built for the whole block with three batched products; the product
+    built for the whole block with three batched products, each identity
+    added on a diagonal view and the sum accumulated in place; the product
     S_{m-1} ... S_0 then steps the columns once.  That reorders the
     roundings only: the result is within 1e-13 (relative) of the
     substep-by-substep columns.  A span of more than ``_RK4_MAX_SUBSTEPS``
     substeps raises InvariantViolation.
     """
     if step is None:
-        # modulated rates stay below twice the base
-        step = default_step(2.0 * max(model.gamma, model.phi), model.omega)
+        step = default_rk4_step(model)
     span = (t1 - t0) / step
     if not span <= _RK4_MAX_SUBSTEPS:  # NaN fails
         raise InvariantViolation(
@@ -305,23 +316,38 @@ def _rk4_span(model, v: np.ndarray, t0: float, t1: float,
     n = max(1, int(np.ceil(span - 1e-12)))
     h = (t1 - t0) / n
     block = max(1, (_RK4_STACK_ENTRIES // v.shape[0] ** 2 - 1) // 2)
-    eye = np.eye(v.shape[0])
     t = t0
     for first in range(0, n, block):
         m = min(block, n - first)
-        starts = np.add.accumulate(np.r_[t, np.full(m, h)])
+        starts = np.full(m + 1, h)
+        starts[0] = t
+        np.add.accumulate(starts, out=starts)
         times = np.empty(2 * m + 1)
         times[0::2] = starts
         times[1::2] = starts[:-1] + 0.5 * h
         t = starts[-1]
         gens = models.assemble_generator(model, times)
-        g_start, g_mid, g_end = gens[0:-1:2], gens[1::2], gens[2::2]
-        k2 = g_mid + 0.5 * h * (g_mid @ g_start)
-        k3 = g_mid + 0.5 * h * (g_mid @ k2)
-        k4 = g_end + h * (g_end @ k3)
-        steps = eye + (h / 6.0) * (g_start + 2.0 * k2 + 2.0 * k3 + k4)
-        v = _ordered_product(steps) @ v
+        g1, g2, g3 = gens[0:-1:2], gens[1::2], gens[2::2]
+        # ``lhs`` holds I + (h/2) G1, I + (h/2) K2, I + h K3 in turn
+        lhs = _add_identity(np.multiply(g1, 0.5 * h))
+        k2 = g2 @ lhs
+        k3 = g2 @ _add_identity(np.multiply(k2, 0.5 * h, out=lhs))
+        _add_identity(np.multiply(k3, h, out=lhs))
+        steps = k2  # G1 + 2 (K2 + K3) + K4, accumulated in place
+        steps += k3
+        steps *= 2.0
+        steps += g1
+        steps += np.matmul(g3, lhs, out=k3)
+        steps *= h / 6.0
+        v = _ordered_product(_add_identity(steps)) @ v
     return v
+
+
+def _add_identity(stack: np.ndarray) -> np.ndarray:
+    """``stack`` with I added to each of its matrices in place, through a
+    flat view of the diagonals; ``stack`` must be C-contiguous."""
+    stack.reshape(len(stack), -1)[:, ::stack.shape[-1] + 1] += 1.0
+    return stack
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -358,9 +384,19 @@ def propagate_interval(model, state, t0: float, t1: float,
                        step: Optional[float] = None):
     """Evolve bipartite states, with any leading batch axes, from t0 to t1
     (absolute times); trace drift as in :func:`propagate` raises."""
-    v = stepping_cache(model, step=step).advance(_columns(model, state), t0, t1)
-    out = models.unflatten_state(model, v.T).reshape(np.shape(state))
-    _check_trace_drift(model, out[None], models.state_trace(model, state), [t1])
+    return _propagate_through(model, state, [t1], t0, step)[0]
+
+
+def _propagate_through(model, state, times, t0: float = 0.0,
+                       step: Optional[float] = None) -> np.ndarray:
+    """States, with any leading batch axes, stepped by one stepper from t0
+    through the increasing absolute ``times``: shape (len(times),) + the
+    shape of ``state``.  Trace drift at any of the times raises."""
+    flat = series(stepping_cache(model, step=step), _columns(model, state),
+                  times, t0)
+    out = models.unflatten_state(model, flat.swapaxes(1, 2)).reshape(
+        (len(times),) + np.shape(state))
+    _check_trace_drift(model, out, models.state_trace(model, state), times)
     return out
 
 

@@ -324,8 +324,9 @@ class DepolarizingModel:
             b = np.zeros(t.shape)
         else:
             try:
-                b = np.broadcast_to(
-                    np.asarray(self.modulation(t), dtype=float), t.shape)
+                b = np.asarray(self.modulation(t), dtype=float)
+                if b.shape != t.shape:
+                    b = np.broadcast_to(b, t.shape)
             except (TypeError, ValueError) as exc:
                 raise InvariantViolation(
                     f"modulation must act elementwise on an array of times: {exc}"
@@ -398,6 +399,16 @@ def _depolarizing_parts(stacked: bool) -> tuple:
     return tuple(_freeze_real(p.real) if stacked else _freeze(p) for p in parts)
 
 
+@functools.cache
+def _depolarizing_rows(stacked: bool) -> np.ndarray:
+    """The parts flattened, one row each, so that a stack of generators is
+    the rates (one row per time) times these rows."""
+    parts = _depolarizing_parts(stacked)
+    rows = np.stack(parts).reshape(len(parts), -1)
+    rows.setflags(write=False)
+    return rows
+
+
 def assemble_generator(model: BipartiteModel, t=0.0) -> np.ndarray:
     """Generator acting on the flattened representation at time ``t``.
 
@@ -431,11 +442,10 @@ def _generator(model: BipartiteModel, t: np.ndarray) -> np.ndarray:
         if not (np.all(gamma_t > 0) and np.all(phi_t > 0)):  # NaN fails
             raise InvariantViolation("modulated rates must stay positive")
         stacked = uses_stacked(model)
-        parts = _depolarizing_parts(stacked)
-        gen = gamma_t[..., None, None] * parts[0] + phi_t[..., None, None] * parts[1]
-        if not stacked:
-            gen += model.omega * parts[2]
-        return gen
+        rates = [gamma_t, phi_t] + ([] if stacked else [np.full(t.shape, model.omega)])
+        # one product: a row of rates per time times the flattened parts
+        gen = np.stack(rates, axis=-1) @ _depolarizing_rows(stacked)
+        return gen.reshape(t.shape + _depolarizing_parts(stacked)[0].shape)
     if isinstance(model, QuantumBystanderModel):
         ds, de = dims(model)
         d = ds * de

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import models
-from .evolve import (TimeGrid, propagate, propagate_interval, series,
+from .evolve import (TimeGrid, _propagate_through, propagate, series,
                      stepping_cache)
 from .qcore import (
     InvariantViolation,
@@ -256,8 +256,7 @@ def trace_distance_bound(model, rho0s, sigma0s, env0, t: float, tau: float,
         raise InvariantViolation("need finite t >= 0 and tau > 0")
     pair = np.array([models.initial_state(model, rho0s, env0),
                      models.initial_state(model, sigma0s, env0)])
-    pair_t = propagate_interval(model, pair, 0.0, t, step)
-    pair_tt = propagate_interval(model, pair_t, t, t + tau, step)
+    pair_t, pair_tt = _propagate_through(model, pair, [t, t + tau], step=step)
     d_t, env_term, corr_rho, corr_sigma = _bound_terms(model, pair_t[:1],
                                                        pair_t[1:])[:, 0]
     d_tt = trace_distance(*models.sys_marginal(model, pair_tt))

@@ -176,6 +176,30 @@ class TestSweepCommands:
         slack = data[:-1, header.index("slack_next")]
         assert slack.min() > -1e-9
 
+    @pytest.mark.parametrize("command, columns", [
+        ("td", ["trace_distance"]),
+        ("bound", ["trace_distance", "env_term", "corr_rho", "corr_sigma"]),
+    ])
+    def test_modulated_series_do_not_depend_on_the_step(self, command, columns,
+                                                        tmp_path):
+        # a modulated model is integrated at no more than its default RK4
+        # substep, so a coarse output grid reads the fine one's values
+        path = tmp_path / "model.json"
+        models.save_model(models.DepolarizingModel(
+            gamma=1.0, phi=1.0, modulation=models.sine_modulation(0.5, 2.0)), path)
+        data = {}
+        for step in ("0.5", "0.01"):
+            out = tmp_path / f"{step}.csv"
+            assert run([command, "--model", str(path), "--tmax", "4",
+                        "--step", step, "--out", str(out)]) == 0
+            _, header, data[step] = read_csv(out)
+        coarse, fine = data["0.5"], data["0.01"]
+        common = np.flatnonzero(np.isin(np.round(fine[:, 0], 9),
+                                        np.round(coarse[:, 0], 9)))
+        assert common.size == coarse.shape[0] == 9
+        cols = [header.index(c) for c in columns]
+        assert np.abs(coarse[:, cols] - fine[np.ix_(common, cols)]).max() <= 1e-8
+
     def test_cpf_random_scheme_null_on_bystander(self, tmp_path):
         out = tmp_path / "cpf.csv"
         assert run(["cpf", "--scheme", "r", "--tmax", "2", "--step", "0.5",
@@ -440,21 +464,30 @@ class TestExitCodes:
         ["bound", "--step", "1e200", "--phi", "1e200"],
         ["td", "--step", "1e200", "--omega", "1e200"],
         ["cpf", "--step", "1e200", "--omega", "1e200"],
-        ["td", "--step", "1e300", "--model", "modulated"],
-    ], ids=["real-generator", "hermitian-basis", "cpf", "rk4"])
-    def test_overflowing_time_gaps_are_numeric_breach(self, argv, tmp_path,
-                                                      capsys):
-        # one gap of 1e200 or more: G dt, or an RK4 substep, overflows
-        if "modulated" in argv:
-            model = tmp_path / "model.json"
-            model.write_text(json.dumps(_FUZZ_DOCUMENTS["DepolarizingModel"]),
-                             encoding="utf-8")
-            argv = argv[:-1] + [str(model)]
+    ], ids=["real-generator", "hermitian-basis", "cpf"])
+    def test_overflowing_time_gaps_are_numeric_breach(self, argv, capsys):
+        # one gap of 1e200 or more: G dt overflows
         assert run(argv + ["--tmax", "0.5"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("qflow: numeric invariant breached:")
+
+    @pytest.mark.filterwarnings("error")
+    def test_modulated_gap_past_the_substep_limit_is_config_error(self, tmp_path,
+                                                                  capsys):
+        # a modulated model is integrated at its default RK4 substep, not at
+        # --step, so a gap of 1e300 needs too many substeps and is refused
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_FUZZ_DOCUMENTS["DepolarizingModel"]),
+                         encoding="utf-8")
+        assert run(["td", "--step", "1e300", "--model", str(model),
+                    "--tmax", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qflow: configuration error:")
+        assert "RK4 substeps" in captured.err
 
     @pytest.mark.parametrize("command", [["td"], ["cpf"], ["cpf", "--scheme", "r"]])
     def test_overflowing_rates_are_numeric_breach(self, command, tmp_path, capsys):

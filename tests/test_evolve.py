@@ -380,7 +380,9 @@ class TestRk4Blocks:
             want.append(t)
         assert np.array_equal(np.concatenate(stacks), want)
 
-    def test_one_assembly_per_block(self, monkeypatch):
+    def assembly_sizes(self, monkeypatch, t0, t1, step):
+        """The number of times of each ``assemble_generator`` call that one
+        modulated span makes."""
         sizes = []
         assemble = models.assemble_generator
 
@@ -391,12 +393,20 @@ class TestRk4Blocks:
         monkeypatch.setattr(models, "assemble_generator", counting)
         m = DepolarizingModel(gamma=1.0, phi=0.7,
                               modulation=sine_modulation(0.4, 0.9))
+        evolve._rk4_span(m, np.ones(16, dtype=complex), t0, t1, step)
+        return sizes
+
+    def test_one_assembly_per_block(self, monkeypatch):
         block = self.block_of(16)
         n = 2 * block + 3
-        evolve._rk4_span(m, np.ones(16, dtype=complex), self.T0,
-                         self.T0 + n * self.STEP, self.STEP)
-        assert block == 31  # a stack of 63 generators, at most 2^14 entries
+        sizes = self.assembly_sizes(monkeypatch, self.T0,
+                                    self.T0 + n * self.STEP, self.STEP)
+        assert block == 63  # a stack of 127 generators, at most 2^15 entries
         assert sizes == [2 * block + 1, 2 * block + 1, 2 * 3 + 1]
+
+    def test_unit_gap_is_one_block(self, monkeypatch):
+        # a unit output gap at step 0.02 is 50 substeps: one assembly
+        assert self.assembly_sizes(monkeypatch, 3.0, 4.0, 0.02) == [2 * 50 + 1]
 
     @pytest.mark.parametrize("value", [1.0, np.nan], ids=["reaches-one", "nan"])
     def test_bad_modulation_inside_a_span_raises(self, value):
@@ -417,6 +427,17 @@ class TestRk4Blocks:
             witness.trace_distance_bound(m, np.diag([1.0, 0.0]),
                                          np.diag([0.0, 1.0]), None, 1e12, 1.0)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_substep_is_numeric_breach(self):
+        # one RK4 substep of 1e300 overflows to non-finite columns, which
+        # the trace check reports
+        m = DepolarizingModel(gamma=1.0, phi=1.0,
+                              modulation=sine_modulation(0.3, 0.5))
+        state = models.initial_state(m, np.diag([1.0, 0.0]))
+        grid = TimeGrid(times=np.array([0.0, 1e300]), step=1e300)
+        with pytest.raises(NumericalDriftError, match="trace drift"):
+            propagate(m, state, grid)
 
 
 class TestPropagate:

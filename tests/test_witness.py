@@ -120,6 +120,21 @@ class TestTraceDistanceBound:
         with pytest.raises(NumericalDriftError, match=r"at t=0\.25 exceeds"):
             trace_distance_series(m, up, down, grid=TimeGrid.regular(0.5, 0.25))
 
+    def test_one_stepper_per_bound(self, monkeypatch):
+        # both endpoints are stepped by one stepper: one generator assembly
+        calls = []
+        assemble = models.assemble_generator
+
+        def counting(model, t=0.0):
+            calls.append(t)
+            return assemble(model, t)
+
+        monkeypatch.setattr(models, "assemble_generator", counting)
+        m = random_stochastic_env(np.random.default_rng(3), nc=3)
+        up, down = projector([1.0, 0.0]), projector([0.0, 1.0])
+        trace_distance_bound(m, up, down, None, 0.6, 0.3)
+        assert len(calls) == 1
+
     @settings(max_examples=20, deadline=None)
     @given(seeds)
     def test_slack_nonnegative_random_unitary(self, seed):
