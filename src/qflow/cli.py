@@ -51,23 +51,21 @@ from .witness import (
 )
 
 
-def _write_csv(args, header: list, rows, **extra) -> None:
-    """CSV whose ``#`` line echoes the command, ``extra``, the grid and the
-    seed.  A column is spelled as its first cell: ``%d`` for bool and
-    integer cells (flags as 1/0), ``%.12g`` for every other number."""
+def _write_csv(args, header: list, columns, **extra) -> None:
+    """CSV of equal-length ``columns`` whose ``#`` line echoes the command,
+    ``extra``, the grid and the seed.  A column is spelled by its dtype:
+    ``%d`` for bool and integer columns (flags as 1/0), ``%.12g`` for every
+    other number; cells are formatted from Python scalars."""
     meta = {"command": args.command, **extra, "tmax": args.tmax,
             "step": args.step, "seed": args.seed}
     buf = io.StringIO()
     echo = " ".join(f"{k}={v}" for k, v in meta.items())
     buf.write(f"# qflow {__version__} {echo}\n")
     buf.write(",".join(header) + "\n")
-    line = None
-    for row in rows:
-        row = tuple(row)
-        if line is None:
-            line = ",".join("%d" if isinstance(x, (int, np.integer, np.bool_))
-                            else "%.12g" for x in row) + "\n"
-        buf.write(line % row)
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join("%d" if col.dtype.kind in "biu" else "%.12g"
+                    for col in columns) + "\n"
+    buf.writelines(line % row for row in zip(*(col.tolist() for col in columns)))
     _write_text(args.out, buf.getvalue())
 
 
@@ -167,8 +165,8 @@ def cmd_fig1a(args) -> int:
 
     cols = [column(ratio) for ratio in ratios]
     header = ["t"] + [f"d(phi_over_gamma={r:g})" for r in ratios]
-    rows = zip(grid.times, *cols)
-    _write_csv(args, header, rows, phi_over_gamma=args_list(ratios))
+    _write_csv(args, header, [grid.times, *cols],
+               phi_over_gamma=args_list(ratios))
     return 0
 
 
@@ -194,8 +192,8 @@ def cmd_fig1b(args) -> int:
 
     cols = [column(ratio) for ratio in ratios]
     header = ["t"] + [f"cpf(phi_over_gamma={r:g})" for r in ratios]
-    rows = zip(grid.times, *cols)
-    _write_csv(args, header, rows, phi_over_gamma=args_list(ratios))
+    _write_csv(args, header, [grid.times, *cols],
+               phi_over_gamma=args_list(ratios))
     return 0
 
 
@@ -220,8 +218,8 @@ def cmd_fig2(args) -> int:
     for r, (d, rev) in zip(ratios, results):
         header += [f"d(omega_over_gamma={r:g})", f"revival(omega_over_gamma={r:g})"]
         cols += [d, rev]
-    rows = zip(grid.times, *cols)
-    _write_csv(args, header, rows, omega_over_gamma=args_list(ratios))
+    _write_csv(args, header, [grid.times, *cols],
+               omega_over_gamma=args_list(ratios))
     return 0
 
 
@@ -245,8 +243,8 @@ def cmd_td(args) -> int:
     up, down = _preset_pair(model.ds)
     trace = trace_distance_series(model, up, down, grid=grid)
     header = ["t", "trace_distance", "revival"]
-    rows = zip(trace.times, trace.values, trace.revivals)
-    _write_csv(args, header, rows, model=args.model or "depolarizing")
+    _write_csv(args, header, [trace.times, trace.values, trace.revivals],
+               model=args.model or "depolarizing")
     return 0
 
 
@@ -258,20 +256,13 @@ def cmd_bound(args) -> int:
     up, down = _preset_pair(model.ds)
     trace = trace_distance_series(model, up, down, grid=grid,
                                   with_bound_terms=True)
-    n = trace.times.size
     header = ["t", "trace_distance", "env_term", "corr_rho", "corr_sigma",
               "increment_next", "slack_next"]
-    rows = []
-    for i in range(n):
-        if i + 1 < n:
-            inc = trace.values[i + 1] - trace.values[i]
-            slack = (trace.env_terms[i] + trace.corr_rho[i]
-                     + trace.corr_sigma[i] - inc)
-        else:
-            inc, slack = np.nan, np.nan
-        rows.append((trace.times[i], trace.values[i], trace.env_terms[i],
-                     trace.corr_rho[i], trace.corr_sigma[i], inc, slack))
-    _write_csv(args, header, rows, model=args.model or "depolarizing")
+    inc = np.append(np.diff(trace.values), np.nan)
+    slack = trace.env_terms + trace.corr_rho + trace.corr_sigma - inc
+    _write_csv(args, header, [trace.times, trace.values, trace.env_terms,
+                              trace.corr_rho, trace.corr_sigma, inc, slack],
+               model=args.model or "depolarizing")
     return 0
 
 
@@ -285,12 +276,10 @@ def cmd_cpf(args) -> int:
     header = ["t", "tau"] + [
         f"cpf(y={specs[1].outcomes[iy]:g})" for iy in range(ny)
     ]
-    rows = []
-    for it, t in enumerate(res.ts):
-        for itau, tau in enumerate(res.taus):
-            rows.append((t, tau, *res.values[:, it, itau]))
-    _write_csv(args, header, rows, model=args.model or "depolarizing",
-               scheme=args.scheme)
+    nt, ntau = res.ts.size, res.taus.size
+    _write_csv(args, header, [np.repeat(res.ts, ntau), np.tile(res.taus, nt),
+                              *res.values.reshape(ny, -1)],
+               model=args.model or "depolarizing", scheme=args.scheme)
     return 0
 
 

@@ -12,9 +12,12 @@ closed model from one ``eigh`` of its Hamiltonian (so its
 modulated rates, reproducible run to run where adaptive stepping is not:
 a block of up to 63 substeps (at D = 16) is one assembly of its stage
 generators and one product of its step matrices.
-:func:`series` is the one loop that steps columns through a list of
-times; re-symmetrization and the trace-drift check then run over the
-stored series, a block of times at a time.
+:func:`series` steps columns through a list of times.  A propagator cache
+fills a run of gaps that share its key in place, by powers of the run's
+propagator squared while that saves numpy calls (about log2 of the run's
+length products for a small propagator); RK4 steps gap by gap.
+Re-symmetrization and the trace-drift check then run over the stored
+series, a block of times at a time.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ class TimeGrid:
 
     @classmethod
     def regular(cls, t_max: float, step: float) -> "TimeGrid":
+        """Times 0, step, 2 step, ... up to t_max: the last is t_max when
+        that is within 1e-9 of a whole number of steps, and never past it."""
         if not (np.isfinite(step) and step > 0):
             raise InvariantViolation(f"grid step {step!r} must be finite and positive")
         if not (np.isfinite(t_max) and t_max >= 0):
@@ -78,7 +83,7 @@ class TimeGrid:
         try:
             n = int(round(t_max / step))
             if abs(n * step - t_max) > 1e-9 * max(1.0, t_max):
-                n = int(np.ceil(t_max / step))
+                n = int(np.floor(t_max / step))
             times = np.arange(n + 1) * step
         except (OverflowError, ValueError, MemoryError) as exc:
             raise InvariantViolation(f"grid to {t_max:g} at step {step:g} has "
@@ -159,7 +164,7 @@ class PropagatorCache:
         self._cache = {}
 
     def at(self, dt: float) -> np.ndarray:
-        key = round(float(dt), 12)
+        key = float(_gap_key(float(dt)))
         if key not in self._cache:
             self._cache[key] = self._propagator(float(dt))
         return self._cache[key]
@@ -177,6 +182,88 @@ class PropagatorCache:
     def carry(self, rows: np.ndarray, dt: float) -> np.ndarray:
         """rows @ Phi(dt) for readout rows conj(flatten(E))."""
         return rows @ self.at(dt)
+
+    def _step_columns(self, out: np.ndarray, v: np.ndarray, t0: float,
+                      times: np.ndarray) -> None:
+        """out[i] = the D x k columns ``v`` stepped from t0 to times[i]."""
+        self._through(out, v, _gaps(times, t0), self._stepped)
+
+    def _carry_rows(self, out: np.ndarray, rows: np.ndarray,
+                    taus: np.ndarray) -> None:
+        """out[i] = rows @ Phi(taus[i]), for increasing ``taus``."""
+        self._through(out, rows, _gaps(taus, 0.0), self._carried)
+
+    def _through(self, out, x, gaps, product) -> None:
+        """out[i] = x taken across gaps[:i + 1] by ``product``: each run of
+        gaps with one cache key from powers of its propagator, a run of key
+        0 (gaps within 5e-13 of zero, whose propagator is the identity) by
+        a copy."""
+        keys = _gap_key(gaps)
+        for first, stop in _runs(keys):
+            run = out[first:stop]
+            if keys[first] == 0:
+                run[...] = x
+            else:
+                _by_squaring(run, x, self.at(gaps[first]), product)
+            x = run[-1]
+
+    @staticmethod
+    def _stepped(src: np.ndarray, p: np.ndarray, dst: np.ndarray) -> None:
+        """dst = p @ src for every column matrix of the stack ``src``."""
+        np.matmul(p, src, out=dst)
+
+    @staticmethod
+    def _carried(src: np.ndarray, p: np.ndarray, dst: np.ndarray) -> None:
+        """dst = src @ p, the rows of the stack ``src`` taken as one matrix."""
+        d = p.shape[0]
+        np.matmul(src.reshape(-1, d), p, out=dst.reshape(-1, d))
+
+
+def _gaps(times: np.ndarray, t0: float) -> np.ndarray:
+    """The gap before each of ``times``, the first from t0."""
+    return times - np.concatenate(([t0], times[:-1]))
+
+
+def _gap_key(gaps):
+    """The cache key of a gap, or of each of an array of gaps: the gap in
+    units of 1e-12, rounded half to even, so gaps that agree to 1e-12 share
+    one propagator."""
+    with np.errstate(over="ignore"):
+        return np.rint(np.multiply(gaps, 1e12))
+
+
+def _runs(keys: np.ndarray):
+    """Bounds (first, stop) of the maximal runs of equal ``keys``."""
+    if not keys.size:
+        return ()
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    return zip([0] + cuts, cuts + [keys.size])
+
+
+# complex multiply-adds that cost about as much as one numpy product call
+# (about 2 us; 2 cores, OpenBLAS on one thread): the measure a squaring's
+# D^3 multiply-adds are weighed against in ``_by_squaring``
+_CALL_MACS = 2 ** 13
+
+
+def _by_squaring(run: np.ndarray, x: np.ndarray, p: np.ndarray,
+                 product) -> None:
+    """run[j] = x taken by p^(j + 1) for every j, where ``product(src, p,
+    dst)`` writes each entry of the stack ``src`` taken by p into ``dst``,
+    in place.  With run[:done] filled and p^m in hand, the next m entries
+    are run[done - m:done] taken by p^m, one product call; p is squared
+    locally, and m doubled, while the calls that saves on the rest of the
+    run cost more than its D^3 multiply-adds.  So a long run over a small
+    propagator takes about log2(len(run)) calls, and a large propagator on
+    a short run is never squared."""
+    product(x[None], p, run[:1])
+    m, done, cube = 1, 1, p.shape[0] ** 3
+    while done < len(run):
+        k = min(m, len(run) - done)
+        product(run[done - m:done - m + k], p, run[done:done + k])
+        done += k
+        if len(run) - done > 2 * m * (1 + cube / _CALL_MACS):
+            p, m = p @ p, 2 * m
 
 
 def _scaled(generator: np.ndarray, dt: float) -> np.ndarray:
@@ -215,6 +302,18 @@ class _ClosedCache(PropagatorCache):
         u = self.at(dt)
         return _sandwiched(u.conj().T, rows, u)
 
+    @staticmethod
+    def _stepped(src: np.ndarray, u: np.ndarray, dst: np.ndarray) -> None:
+        # as in ``advance``: the columns as rows, carried by u^T
+        _ClosedCache._carried(src.swapaxes(-1, -2), u.T, dst.swapaxes(-1, -2))
+
+    @staticmethod
+    def _carried(src: np.ndarray, u: np.ndarray, dst: np.ndarray) -> None:
+        # u^dag Z u for every row of the stack read as N x N, as in ``carry``
+        n = u.shape[0]
+        np.matmul(u.conj().T @ src.reshape(src.shape[:-1] + (n, n)), u,
+                  out=dst.reshape(dst.shape[:-1] + (n, n)))
+
 
 def _sandwiched(a: np.ndarray, flat: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a Z b for every N x N matrix Z flattened (C order) along the last axis
@@ -235,6 +334,13 @@ class _RK4Stepper:
         if t1 == t0:
             return v
         return _rk4_span(self.model, v, t0, t1, self.step)
+
+    def _step_columns(self, out: np.ndarray, v: np.ndarray, t0: float,
+                      times: np.ndarray) -> None:
+        # gap by gap, since the stages sit at absolute times
+        for i, t in enumerate(times):
+            v = out[i] = self.advance(v, t0, t)
+            t0 = t
 
 
 def stepping_cache(model, stepper: str = "auto",
@@ -262,12 +368,13 @@ def stepping_cache(model, stepper: str = "auto",
 
 def series(stepper, v: np.ndarray, times, t0: float = 0.0) -> np.ndarray:
     """The columns ``v`` stepped from t0 through the increasing ``times``,
-    stacked one entry per time: shape (len(times),) + v.shape."""
-    out = np.empty((len(times),) + v.shape, dtype=complex)
-    for i, t in enumerate(times):
-        v = out[i] = stepper.advance(v, t0, t)
-        t0 = t
-    return out
+    stacked one entry per time: shape (len(times),) + v.shape.  The
+    stepper writes the entries in place, as D x k columns."""
+    times = np.asarray(times, dtype=float)
+    cols = v.reshape(v.shape[0], -1)
+    out = np.empty((times.size,) + cols.shape, dtype=complex)
+    stepper._step_columns(out, cols, t0, times)
+    return out.reshape((times.size,) + v.shape)
 
 
 # entries in the stack of stage generators one RK4 block holds, which keeps

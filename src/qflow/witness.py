@@ -23,10 +23,11 @@ product-grid and equal-time functions are thin wrappers around it.  It
 steps the past states once along the ts and builds the relays of a block
 of ts at once.  When the stepper carries readout rows (a time-independent
 model), outcome z at (t, tau) is (rows @ Phi(tau)) . relay(t): the rows
-conj(flatten(Pi_z (x) 1_E)) are carried once across the gaps of the taus,
-and one matrix product per block reads the product grid and the diagonal
-alike, with no exponential per t.  The RK4 stepper of modulated rates
-steps each t's relays across its taus instead.
+conj(flatten(Pi_z (x) 1_E)) are carried across the taus, each run of
+equal gaps from powers of its propagator, and one matrix product per block
+reads the product grid and the diagonal alike, with no exponential per t.
+The RK4 stepper of modulated rates steps each t's relays across its taus
+instead.
 """
 
 from __future__ import annotations
@@ -297,14 +298,10 @@ _CPF_BLOCK_ENTRIES = 2 ** 12
 
 def _effects(rows: np.ndarray, taus: np.ndarray, stepper) -> np.ndarray:
     """The readout rows carried to every tau, rows @ Phi(tau), shape
-    taus.shape + rows.shape: one product per gap of the taus, which run
-    through increasing values."""
+    taus.shape + rows.shape, for taus that run through increasing values:
+    each run of equal gaps is filled from powers of its propagator."""
     out = np.empty((taus.size,) + rows.shape, dtype=complex)
-    e, prev_tau = rows, 0.0
-    for i, tau in enumerate(taus.flat):
-        if tau != prev_tau:
-            e = stepper.carry(e, tau - prev_tau)
-        out[i], prev_tau = e, tau
+    stepper._carry_rows(out, rows, taus.ravel())
     return out.reshape(taus.shape + rows.shape)
 
 

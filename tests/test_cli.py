@@ -148,6 +148,15 @@ class TestSweepCommands:
         assert data[0, 1] == pytest.approx(1.0)
         assert data[:, 2].max() == 0.0
 
+    def test_grid_never_runs_past_tmax(self, tmp_path):
+        # 1 is not a whole number of steps of 0.3: the last row is at 0.9
+        out = tmp_path / "td.csv"
+        assert run(["td", "--tmax", "1", "--step", "0.3",
+                    "--out", str(out)]) == 0
+        comment, _, data = read_csv(out)
+        assert "tmax=1.0 step=0.3" in comment
+        assert np.allclose(data[:, 0], [0.0, 0.3, 0.6, 0.9])
+
     def test_bound_slack_nonnegative(self, tmp_path):
         out = tmp_path / "bound.csv"
         assert run(["bound", "--tmax", "1.5", "--step", "0.1",
@@ -466,8 +475,8 @@ class TestExitCodes:
         ["cpf", "--step", "1e200", "--omega", "1e200"],
     ], ids=["real-generator", "hermitian-basis", "cpf"])
     def test_overflowing_time_gaps_are_numeric_breach(self, argv, capsys):
-        # one gap of 1e200 or more: G dt overflows
-        assert run(argv + ["--tmax", "0.5"]) == 3
+        # one gap of 1e200, the grid 0, --step: G dt overflows
+        assert run(argv + ["--tmax", "1e200"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
@@ -482,7 +491,7 @@ class TestExitCodes:
         model.write_text(json.dumps(_FUZZ_DOCUMENTS["DepolarizingModel"]),
                          encoding="utf-8")
         assert run(["td", "--step", "1e300", "--model", str(model),
-                    "--tmax", "0.5"]) == 2
+                    "--tmax", "1e300"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
@@ -766,9 +775,9 @@ def _reference_cell(x) -> str:
 class TestCsvSpelling:
     ARGS = dict(command="bound", tmax=4.0, step=0.05, seed=42, out=None)
 
-    def _written(self, rows, capsys):
+    def _written(self, columns, capsys):
         cli._write_csv(argparse.Namespace(**self.ARGS), ["a", "b", "c", "d", "e"],
-                       rows, model="depolarizing")
+                       columns, model="depolarizing")
         comment, header, body = capsys.readouterr().out.split("\n", 2)
         assert comment == ("# qflow 0.1.0 command=bound model=depolarizing "
                            "tmax=4.0 step=0.05 seed=42")
@@ -786,17 +795,33 @@ class TestCsvSpelling:
         ]
         want = "".join(",".join(_reference_cell(x) for x in row) + "\n"
                        for row in rows)
-        assert self._written(iter(rows), capsys) == want
+        assert self._written(list(zip(*rows)), capsys) == want
 
     def test_integer_columns(self, capsys):
         rows = [(1, np.int64(-7), True, 0.5, np.bool_(False)),
                 (0, np.int32(12), False, 2.0, np.bool_(True))]
         want = "".join(",".join(_reference_cell(x) for x in row) + "\n"
                        for row in rows)
-        assert self._written(rows, capsys) == want == "1,-7,1,0.5,0\n0,12,0,2,1\n"
+        assert self._written(list(zip(*rows)), capsys) == want == (
+            "1,-7,1,0.5,0\n0,12,0,2,1\n")
+
+    def test_columns_are_written_as_rows_of_numpy_scalars_were(self, capsys):
+        # the row writer of earlier releases: numpy scalars, each row spelled
+        # as the first row's cells
+        rng = np.random.default_rng(7)
+        columns = [np.arange(50) * 0.01, rng.normal(size=50) * 1e3,
+                   rng.integers(-9, 9, size=50), rng.random(50) > 0.5,
+                   np.where(rng.random(50) > 0.8, np.nan,
+                            rng.normal(size=50) * 1e-9)]
+        rows = list(zip(*columns))
+        line = ",".join("%d" if isinstance(x, (int, np.integer, np.bool_))
+                        else "%.12g" for x in rows[0]) + "\n"
+        want = "".join(line % row for row in rows)
+        assert "nan" in want
+        assert self._written(columns, capsys) == want
 
     def test_no_rows_is_header_only(self, capsys):
-        assert self._written(zip(), capsys) == ""
+        assert self._written([()] * 5, capsys) == ""
         code, out, err = run_here(["cpf", "--skip-zero", "--tmax", "0"])
         assert code == 0 and err == b""
         assert out.decode().splitlines()[1:] == ["t,tau,cpf(y=1),cpf(y=-1)"]

@@ -47,6 +47,16 @@ class TestTimeGrid:
         g = TimeGrid.regular(1.0, 0.25)
         assert np.allclose(g.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
+    def test_regular_ends_at_or_before_t_max(self):
+        # t_max within 1e-9 of a whole number of steps is the last time;
+        # otherwise the last whole step before it is
+        assert np.allclose(TimeGrid.regular(1.0, 0.3).times,
+                           [0.0, 0.3, 0.6, 0.9])
+        assert np.allclose(TimeGrid.regular(0.3, 0.1).times,
+                           [0.0, 0.1, 0.2, 0.3])
+        assert TimeGrid.regular(6.0, 0.01).times.size == 601
+        assert TimeGrid.regular(0.05, 0.1).times.tolist() == [0.0]
+
     def test_rejects_decreasing(self):
         with pytest.raises(InvariantViolation):
             TimeGrid(times=np.array([0.0, 0.5, 0.4]), step=0.1)
@@ -235,6 +245,146 @@ class TestClosedModelsInStateSpace:
         assert np.abs(trace.values - want).max() < 1e-12
         assert res.tensors.shape == (2, 2, 2, 2, 2)
         assert peak < 2 ** 27  # 128 MiB
+
+
+def _advanced(stepper, v, times, t0=0.0):
+    """The columns v stepped through ``times`` one gap at a time."""
+    out = []
+    for t in times:
+        v = stepper.advance(v, t0, t)
+        out.append(v)
+        t0 = t
+    return np.array(out)
+
+
+class TestRunStepping:
+    """A run of gaps with one cache key takes about log2 of its length
+    products of the squared propagator; it must agree with stepping gap by
+    gap, through ``advance`` for state columns and ``carry`` for readout
+    rows."""
+
+    FORMS = [pytest.param(make, form, id=name) for name, make, form in (
+        ("real-generator", lambda rng: DepolarizingModel(gamma=1.0, phi=0.7),
+         PropagatorCache),
+        ("hermitian-basis", lambda rng: random_stochastic_env(rng, nc=3),
+         PropagatorCache),
+        ("closed", lambda rng: random_unitary_model(rng, de=3),
+         evolve._ClosedCache),
+    )]
+
+    @staticmethod
+    def _inputs(make, form, batch=2):
+        """A model, its stepper and a batch of its states."""
+        rng = np.random.default_rng(31)
+        m = make(rng)
+        stepper = stepping_cache(m)
+        assert type(stepper) is form
+        states = np.array([models.initial_state(m, random_density_matrix(rng, 2))
+                           for _ in range(batch)])
+        return m, stepper, states
+
+    def test_forms_cover_both_exponential_arithmetics(self):
+        (real, _), (stochastic, _) = (p.values for p in self.FORMS[:2])
+        rng = np.random.default_rng(31)
+        assert not models.assemble_generator(real(rng)).imag.any()
+        assert models.assemble_generator(stochastic(rng)).imag.any()
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        calls = []
+        at = PropagatorCache.at
+
+        def counting(cache, dt):
+            calls.append(dt)
+            return at(cache, dt)
+
+        monkeypatch.setattr(PropagatorCache, "at", counting)
+        return calls
+
+    @staticmethod
+    def _count_products(monkeypatch, form):
+        calls = []
+        stepped = form._stepped
+
+        def counting(src, p, dst):
+            calls.append(len(src))
+            stepped(src, p, dst)
+
+        monkeypatch.setattr(form, "_stepped", staticmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("make, form", FORMS)
+    def test_uniform_run_matches_chained_advance(self, make, form, lookups,
+                                                 monkeypatch):
+        m, stepper, states = self._inputs(make, form)
+        cols = evolve._columns(m, states)
+        products = self._count_products(monkeypatch, form)
+        times = np.arange(1, 601) * 0.01  # 600 gaps of one key
+        got = evolve.series(stepper, cols, times)
+        assert len(lookups) == 1
+        assert sum(products) == 600 and len(products) <= 2 * np.log2(600)
+        assert np.abs(got - _advanced(stepper, cols, times)).max() < 1e-12
+
+    def test_large_propagator_steps_a_short_run_unsquared(self, monkeypatch):
+        # squaring a 256 x 256 propagator costs far more than the three
+        # product calls it would save on a run of four gaps
+        gen = models.random_lindblad_generator(np.random.default_rng(6), 16)
+        stepper = PropagatorCache(gen)
+        products = self._count_products(monkeypatch, PropagatorCache)
+        cols = np.random.default_rng(7).normal(size=(256, 2)) + 0j
+        times = [0.1, 0.2, 0.3, 0.4]
+        got = evolve.series(stepper, cols, times)
+        assert products == [1, 1, 1, 1]
+        assert np.abs(got - _advanced(stepper, cols, times)).max() < 1e-12
+
+    @pytest.mark.parametrize("make, form", FORMS)
+    def test_mixed_gaps_match_chained_advance(self, make, form, lookups):
+        # from 0.5: a zero gap, three gaps of 0.1, four of 0.25, one of 0.7
+        m, stepper, states = self._inputs(make, form)
+        cols = evolve._columns(m, states)
+        times = [0.5, 0.6, 0.7, 0.8, 1.05, 1.3, 1.55, 1.8, 2.5]
+        got = evolve.series(stepper, cols, times, t0=0.5)
+        assert len(lookups) == 3
+        assert np.array_equal(got[0], cols)
+        want = _advanced(stepper, cols, times, t0=0.5)
+        assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("make, form", FORMS)
+    def test_effects_match_chained_carry(self, make, form, lookups):
+        m, stepper, _ = self._inputs(make, form)
+        projectors = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        rows = models.flatten_state(m, models.product_with_env(
+            m, projectors, np.eye(m.env_dim))).conj()
+        taus = np.arange(601) * 0.01  # a zero gap, then 600 of one key
+        got = witness._effects(rows, taus[:, None], stepper)
+        assert got.shape == (601, 1) + rows.shape
+        assert len(lookups) == 1
+        want, e = [rows], rows
+        for gap in np.diff(taus):
+            e = stepper.carry(e, gap)
+            want.append(e)
+        assert np.abs(got[:, 0] - np.array(want)).max() < 1e-12
+
+    @pytest.mark.parametrize("make, form", FORMS[:2])
+    def test_series_is_written_in_place(self, make, form):
+        # a run writes its products into the series: beside it, propagate
+        # holds only its two blocks of re-symmetrization temporaries and a
+        # few D x D propagators, never a copy of a run
+        import tracemalloc
+
+        m, _, states = self._inputs(make, form, batch=8)
+        d = evolve._columns(m, states).shape[0]
+        grid = TimeGrid.regular(6.0, 0.01)
+        propagate(m, states, grid)  # builds the cached basis of the layout
+        tracemalloc.start()
+        try:
+            series = propagate(m, states, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.shape[0] == 601
+        assert peak <= (series.nbytes + 2 * 16 * evolve._SERIES_BLOCK_ENTRIES
+                        + 16 * 16 * d * d)
 
 
 @pytest.fixture
@@ -556,14 +706,15 @@ class TestPropagate:
         # the steps from t = 0.5 on gain 1% of trace, so the drift first
         # passes 1e-8 at t = 0.5 and grows after it; one time per block
         # checks the offsets of the blocks after the first
-        advance = PropagatorCache.advance
+        series = evolve.series
         monkeypatch.setattr(evolve, "_SERIES_BLOCK_ENTRIES", 1)
 
-        def leaky(cache, v, t0, t1):
-            out = advance(cache, v, t0, t1)
-            return 1.01 * out if t1 >= 0.5 else out
+        def leaky(stepper, v, times, t0=0.0):
+            out = series(stepper, v, times, t0)
+            leaks = np.cumsum(np.asarray(times) >= 0.5)
+            return out * (1.01 ** leaks).reshape((-1,) + (1,) * v.ndim)
 
-        monkeypatch.setattr(PropagatorCache, "advance", leaky)
+        monkeypatch.setattr(evolve, "series", leaky)
         m = random_stochastic_env(np.random.default_rng(4), nc=3)
         rho0 = random_density_matrix(np.random.default_rng(5), 2)
         with pytest.raises(NumericalDriftError, match=r"at t=0\.5 exceeds"):
