@@ -4,20 +4,20 @@ Time is measured in units of the inverse base rate throughout; the default
 grid step keeps the fastest rate resolved to one percent.  Propagation
 steps flattened state columns, so a batch of states shares every
 propagator.  :func:`stepping_cache` alone picks how a model is stepped,
-as one of three steppers with ``advance(v, t0, t1)``: cached matrix
-exponentials of a constant generator (taken in real arithmetic in a
-Hermitian operator basis when it is complex), the N x N unitaries of a
-closed model from one ``eigh`` of its Hamiltonian (so its
-(ds de)^2-square superoperator is never built), or fixed-step RK4 for
-modulated rates, reproducible run to run where adaptive stepping is not:
-a block of up to 63 substeps (at D = 16) is one assembly of its stage
-generators and one product of its step matrices.
-:func:`series` steps columns through a list of times.  A propagator cache
-fills a run of gaps that share its key in place, by powers of the run's
-propagator squared while that saves numpy calls (about log2 of the run's
-length products for a small propagator); RK4 steps gap by gap.
-Re-symmetrization and the trace-drift check then run over the stored
-series, a block of times at a time.
+as one of three steppers: cached matrix exponentials of a constant
+generator (taken in real arithmetic in a Hermitian operator basis when it
+is complex), the N x N unitaries of a closed model from one ``eigh`` of
+its Hamiltonian (so its (ds de)^2-square superoperator is never built), or
+fixed-step RK4 for modulated rates, reproducible run to run where adaptive
+stepping is not: a block of up to 63 substeps (at D = 16) is one assembly
+of its stage generators and one product of its step matrices.
+Every stepper has ``step_columns(out, v, t0, times)``, and the two caches
+``carry_rows(out, rows, taus)`` for readout rows; each writes a series in
+place.  A cache fills a run of gaps that share its key by powers of the
+run's propagator squared while that saves numpy calls (about log2 of the
+run's length products for a small propagator); RK4 steps gap by gap.
+:func:`_propagate_through` is the one body that steps states, then
+re-symmetrizes and checks the stored series, a block of times at a time.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ class PropagatorCache:
 
     def __init__(self, generator: Optional[np.ndarray],
                  basis: Optional[_HermitianBasis] = None):
-        self.generator, self._basis = generator, basis
+        self._basis = basis
         self._exponent = generator if basis is None else basis.into(generator).real
         self._cache = {}
 
@@ -173,23 +173,13 @@ class PropagatorCache:
         p = matrix_exp(_scaled(self._exponent, dt))
         return p if self._basis is None else self._basis.back(p.real)
 
-    def advance(self, v: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        """Columns ``v`` (D or D x k) stepped from t0 to t1; ``v`` if equal."""
-        if t1 == t0:
-            return v
-        return self.at(t1 - t0) @ v
-
-    def carry(self, rows: np.ndarray, dt: float) -> np.ndarray:
-        """rows @ Phi(dt) for readout rows conj(flatten(E))."""
-        return rows @ self.at(dt)
-
-    def _step_columns(self, out: np.ndarray, v: np.ndarray, t0: float,
-                      times: np.ndarray) -> None:
+    def step_columns(self, out: np.ndarray, v: np.ndarray, t0: float,
+                     times: np.ndarray) -> None:
         """out[i] = the D x k columns ``v`` stepped from t0 to times[i]."""
         self._through(out, v, _gaps(times, t0), self._stepped)
 
-    def _carry_rows(self, out: np.ndarray, rows: np.ndarray,
-                    taus: np.ndarray) -> None:
+    def carry_rows(self, out: np.ndarray, rows: np.ndarray,
+                   taus: np.ndarray) -> None:
         """out[i] = rows @ Phi(taus[i]), for increasing ``taus``."""
         self._through(out, rows, _gaps(taus, 0.0), self._carried)
 
@@ -289,64 +279,44 @@ class _ClosedCache(PropagatorCache):
         vecs = self.vectors
         return (vecs * np.exp(-1j * self.energies * dt)) @ vecs.conj().T
 
-    def advance(self, v: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        if t1 == t0:
-            return v
-        # X -> u X u^dag; a column read as N x N in C order is X^T, which
-        # goes to conj(u) X^T u^T
-        u = self.at(t1 - t0)
-        return _sandwiched(u.conj(), v.T, u.T).T
-
-    def carry(self, rows: np.ndarray, dt: float) -> np.ndarray:
-        # E -> u^dag E u; a row read as N x N in C order is E^dag, alike
-        u = self.at(dt)
-        return _sandwiched(u.conj().T, rows, u)
-
     @staticmethod
     def _stepped(src: np.ndarray, u: np.ndarray, dst: np.ndarray) -> None:
-        # as in ``advance``: the columns as rows, carried by u^T
+        # X -> u X u^dag; a column read as N x N in C order is X^T, which
+        # goes to conj(u) X^T u^T: the columns as rows, carried by u^T
         _ClosedCache._carried(src.swapaxes(-1, -2), u.T, dst.swapaxes(-1, -2))
 
     @staticmethod
     def _carried(src: np.ndarray, u: np.ndarray, dst: np.ndarray) -> None:
-        # u^dag Z u for every row of the stack read as N x N, as in ``carry``
+        # E -> u^dag E u; a row read as N x N in C order is E^dag, which goes
+        # alike: u^dag Z u for every row of the stack read as N x N
         n = u.shape[0]
         np.matmul(u.conj().T @ src.reshape(src.shape[:-1] + (n, n)), u,
                   out=dst.reshape(dst.shape[:-1] + (n, n)))
 
 
-def _sandwiched(a: np.ndarray, flat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a Z b for every N x N matrix Z flattened (C order) along the last axis
-    of ``flat``."""
-    n = a.shape[0]
-    z = flat.reshape(flat.shape[:-1] + (n, n))
-    return (a @ z @ b).reshape(flat.shape)
-
-
 class _RK4Stepper:
     """Fixed-step RK4 at absolute times, with substeps of at most ``step``
-    (the model's default when None).  It cannot ``carry`` readout rows."""
+    (the model's default when None).  It has no ``carry_rows``, since its
+    stages sit at absolute times."""
 
     def __init__(self, model, step: Optional[float]):
         self.model, self.step = model, step
 
-    def advance(self, v: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        if t1 == t0:
-            return v
-        return _rk4_span(self.model, v, t0, t1, self.step)
-
-    def _step_columns(self, out: np.ndarray, v: np.ndarray, t0: float,
-                      times: np.ndarray) -> None:
-        # gap by gap, since the stages sit at absolute times
+    def step_columns(self, out: np.ndarray, v: np.ndarray, t0: float,
+                     times: np.ndarray) -> None:
+        # gap by gap, as the stages sit at absolute times; a zero gap copies
         for i, t in enumerate(times):
-            v = out[i] = self.advance(v, t0, t)
+            if t != t0:
+                v = _rk4_span(self.model, v, t0, t, self.step)
+            out[i] = v
             t0 = t
 
 
 def stepping_cache(model, stepper: str = "auto",
                    step: Optional[float] = None):
-    """The stepper of a model, whose ``advance(v, t0, t1)`` steps flattened
-    state columns: the one place that picks how a model is stepped.
+    """The stepper of a model, whose ``step_columns`` steps flattened state
+    columns (and ``carry_rows``, when it has one, carries readout rows):
+    the one place that picks how a model is stepped.
     ``stepper`` is "auto" (exponentials when the generator is constant) or
     "rk4" (substeps of at most ``step``).  A closed model is diagonalized
     once in state space; a complex generator is exponentiated in the
@@ -373,7 +343,7 @@ def series(stepper, v: np.ndarray, times, t0: float = 0.0) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     cols = v.reshape(v.shape[0], -1)
     out = np.empty((times.size,) + cols.shape, dtype=complex)
-    stepper._step_columns(out, cols, t0, times)
+    stepper.step_columns(out, cols, t0, times)
     return out.reshape((times.size,) + v.shape)
 
 
@@ -487,54 +457,51 @@ def _check_trace_drift(model, states, trace0, times) -> None:
                                   f"t={times[i]:g} exceeds {TRACE_DRIFT_TOL:g}")
 
 
-def propagate_interval(model, state, t0: float, t1: float,
-                       step: Optional[float] = None):
-    """Evolve bipartite states, with any leading batch axes, from t0 to t1
-    (absolute times); trace drift as in :func:`propagate` raises."""
-    return _propagate_through(model, state, [t1], t0, step)[0]
-
-
-def _propagate_through(model, state, times, t0: float = 0.0,
-                       step: Optional[float] = None) -> np.ndarray:
-    """States, with any leading batch axes, stepped by one stepper from t0
-    through the increasing absolute ``times``: shape (len(times),) + the
-    shape of ``state``.  Trace drift at any of the times raises."""
-    flat = series(stepping_cache(model, step=step), _columns(model, state),
-                  times, t0)
-    out = models.unflatten_state(model, flat.swapaxes(1, 2)).reshape(
-        (len(times),) + np.shape(state))
-    _check_trace_drift(model, out, models.state_trace(model, state), times)
-    return out
-
-
-# entries of the block of states that ``propagate`` re-symmetrizes and
-# checks at once, which keeps its temporaries at about 64 kB beside the
+# entries of the block of states that ``_propagate_through`` re-symmetrizes
+# and checks at once, which keeps its temporaries at about 64 kB beside the
 # series it returns
 _SERIES_BLOCK_ENTRIES = 2 ** 12
 
 
-def propagate(model, state0, grid: TimeGrid, stepper: str = "auto"):
-    """State series over the grid, shape (nt,) + the shape of ``state0``,
-    whose leading batch axes are stepped as the columns of one matrix.
-
-    ``stepper`` is "auto" (exponentials when the generator is constant) or
-    "rk4".  The loop only steps the columns and stores them; the stored
-    series is then re-symmetrized in place and checked, a block of times at
-    a time, so the symmetrized states are outputs only.  Trace drift of any
-    state beyond 1e-8 (or a non-finite trace) raises, naming the first such
-    time; states are never re-normalized.
-    """
-    v = _columns(model, state0)
-    flat = series(stepping_cache(model, stepper, grid.step), v, grid.times)
+def _propagate_through(model, state, times, t0: float = 0.0,
+                       step: Optional[float] = None,
+                       stepper: str = "auto") -> np.ndarray:
+    """States, with any leading batch axes, stepped by one stepper from t0
+    through the non-decreasing absolute ``times`` (a zero span steps
+    nothing): shape (len(times),) + the shape of ``state``.  Times that run
+    backwards or are NaN raise InvariantViolation.  The stored series is
+    then re-symmetrized in place and checked, a block of times at a time:
+    trace drift of any state beyond 1e-8 (or a non-finite trace) raises,
+    naming the first such time.  States are never re-normalized."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.diff(times, prepend=t0) >= 0):  # NaN fails
+        raise InvariantViolation(
+            f"times from t0={t0:g} must not decrease or be NaN")
+    v = _columns(model, state)
+    flat = series(stepping_cache(model, stepper, step), v, times, t0)
     states = models.unflatten_state(model, flat.swapaxes(1, 2)).reshape(
-        grid.times.shape + np.shape(state0))
-    trace0 = models.state_trace(model, state0)
+        times.shape + np.shape(state))
+    trace0 = models.state_trace(model, state)
     block = max(1, _SERIES_BLOCK_ENTRIES // v.size)
-    for first in range(0, grid.times.size, block):
+    for first in range(0, times.size, block):
         part = states[first:first + block]
         part[...] = models.resymmetrized(model, part)
-        _check_trace_drift(model, part, trace0, grid.times[first:first + block])
+        _check_trace_drift(model, part, trace0, times[first:first + block])
     return states
+
+
+def propagate_interval(model, state, t0: float, t1: float,
+                       step: Optional[float] = None):
+    """Bipartite states, with any leading batch axes, from t0 to t1
+    (absolute times) by :func:`_propagate_through`."""
+    return _propagate_through(model, state, [t1], t0, step)[0]
+
+
+def propagate(model, state0, grid: TimeGrid, stepper: str = "auto"):
+    """State series over the grid by :func:`_propagate_through`; ``stepper``
+    is "auto" (exponentials when the generator is constant) or "rk4"."""
+    return _propagate_through(model, state0, grid.times, step=grid.step,
+                              stepper=stepper)
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,7 @@ def _effects(rows: np.ndarray, taus: np.ndarray, stepper) -> np.ndarray:
     taus.shape + rows.shape, for taus that run through increasing values:
     each run of equal gaps is filled from powers of its propagator."""
     out = np.empty((taus.size,) + rows.shape, dtype=complex)
-    stepper._carry_rows(out, rows, taus.ravel())
+    stepper.carry_rows(out, rows, taus.ravel())
     return out.reshape(taus.shape + rows.shape)
 
 
@@ -332,8 +332,8 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus, scheme, policy,
     The nx conditioned past states are stepped along ts as flattened-state
     columns, and the relays of a block of times are built at once.  The row
     conj(flatten(Pi_z (x) 1_E)) reads outcome z out of a relay.  A stepper
-    that can ``carry`` the rows carries them instead, once across the gaps
-    of the taus, and the effects rows @ Phi(tau) read every (t, tau) of a
+    with ``carry_rows`` carries the rows instead, once across the gaps of
+    the taus, and the effects rows @ Phi(tau) read every (t, tau) of a
     block with one matrix product.  The RK4 stepper steps each t's relays
     across its taus, since its stages sit at absolute times.
     Each readout is weighted by the policy (random scheme) or by one
@@ -357,7 +357,7 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus, scheme, policy,
     check_increasing(ts, "ts")
     check_increasing(taus, "taus")
     stepper = stepping_cache(model, step=step)
-    carries = hasattr(stepper, "carry")
+    carries = hasattr(stepper, "carry_rows")
     kets_x = spec_x.vectors.T
     pxs = np.array([(ket.conj() @ rho0s @ ket).real for ket in kets_x])
     rows = models.flatten_state(model, models.product_with_env(

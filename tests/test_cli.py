@@ -762,6 +762,16 @@ class TestParserReuse:
             assert run_alone([cmd, "--out", str(alone), "--seed", "42"])[0] == 0
             assert (tmp_path / "script" / f"{cmd}.csv").read_bytes() == alone.read_bytes()
 
+    def test_slow_modulation_demo_runs(self, tmp_path):
+        # one period at frequency 0.5 is about 0.3 s of stepping
+        out = tmp_path / "slow.csv"
+        subprocess.run([sys.executable, str(REPO / "scripts" / "slow_modulation_demo.py"),
+                        "--frequency", "0.5", "--out", str(out)],
+                       env=FRESH_ENV, check=True, capture_output=True)
+        comment, header = out.read_text(encoding="utf-8").splitlines()[:2]
+        assert comment.endswith(" cpf_random_late=0.000e+00")
+        assert header == "t,d_full,d_adiabatic,revival"
+
 
 def _reference_cell(x) -> str:
     """The per-cell CSV spelling of earlier releases."""

@@ -130,24 +130,47 @@ class TestPropagatorCache:
             rows = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
             for dt in (0.05, 0.7, 2.0):
                 want = matrix_exp(gen * dt)
-                got = stepper.advance(cols, 0.0, dt)
+                got = evolve.series(stepper, cols, [dt])[0]
                 assert np.abs(got - want @ cols).max() < tol
-                got = stepper.advance(cols[:, 0], 0.0, dt)
+                got = evolve.series(stepper, cols[:, 0], [dt])[0]
                 assert np.abs(got - want @ cols[:, 0]).max() < tol
-                assert stepper.advance(cols, dt, dt) is cols
                 if form is evolve._RK4Stepper:
-                    assert not hasattr(stepper, "carry")
+                    assert not hasattr(stepper, "carry_rows")
                 else:
-                    assert np.abs(stepper.carry(rows, dt) - rows @ want).max() < tol
+                    got = witness._effects(rows, np.array([dt]), stepper)[0]
+                    assert np.abs(got - rows @ want).max() < tol
             times = [0.5, 0.5, 0.55, 1.25, 1.95]  # gaps 0, 0.05, 0.7, 0.7
-            chained, v, t0 = [], cols, 0.5
-            for t in times:
-                v = stepper.advance(v, t0, t)
-                chained.append(v)
-                t0 = t
             got = evolve.series(stepper, cols, times, t0=0.5)
             assert got.shape == (len(times), d, 3)
-            assert np.array_equal(got, np.array(chained))
+            assert np.array_equal(got, _advanced(stepper, cols, times, t0=0.5))
+
+    def test_zero_gap_copies_the_columns(self, monkeypatch):
+        # every stepping form; RK4 assembles no generator for the gap
+        rng = np.random.default_rng(17)
+        forms = [
+            (random_unitary_model(rng, de=3), evolve._ClosedCache),
+            (random_stochastic_env(rng, nc=3), PropagatorCache),
+            (DepolarizingModel(gamma=1.0, phi=0.7,
+                               modulation=sine_modulation(0.5, 1.0)),
+             evolve._RK4Stepper),
+        ]
+        calls = []
+        assemble = models.assemble_generator
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(models, "assemble_generator", counting)
+        for m, form in forms:
+            stepper = stepping_cache(m)
+            assert type(stepper) is form
+            cols = evolve._columns(m, models.initial_state(
+                m, random_density_matrix(rng, 2)))
+            calls.clear()
+            got = evolve.series(stepper, cols, [0.7, 0.7], t0=0.7)
+            assert np.array_equal(got[0], cols) and np.array_equal(got[1], cols)
+            assert calls == []
 
     def test_empty_time_lists_keep_their_shapes(self):
         m = DepolarizingModel(gamma=1.0, phi=0.7)
@@ -200,10 +223,9 @@ class TestPropagatorCache:
         for dt in (0.05, 0.7, 2.0):
             assert np.array_equal(cache.at(dt), matrix_exp(gen * dt))
 
-    def test_other_models_keep_the_generator(self):
+    def test_other_models_cache_their_propagators(self):
         m = random_stochastic_env(np.random.default_rng(1), nc=3)
         cache = stepping_cache(m)
-        assert np.array_equal(cache.generator, models.assemble_generator(m))
         assert cache.at(0.3) is cache.at(0.3)
 
 
@@ -248,10 +270,11 @@ class TestClosedModelsInStateSpace:
 
 
 def _advanced(stepper, v, times, t0=0.0):
-    """The columns v stepped through ``times`` one gap at a time."""
+    """The columns v stepped through ``times`` one gap at a time, by a
+    one-gap series per gap."""
     out = []
     for t in times:
-        v = stepper.advance(v, t0, t)
+        v = evolve.series(stepper, v, [t], t0)[0]
         out.append(v)
         t0 = t
     return np.array(out)
@@ -260,8 +283,8 @@ def _advanced(stepper, v, times, t0=0.0):
 class TestRunStepping:
     """A run of gaps with one cache key takes about log2 of its length
     products of the squared propagator; it must agree with stepping gap by
-    gap, through ``advance`` for state columns and ``carry`` for readout
-    rows."""
+    gap, through a one-gap series for state columns and one-tau effects
+    for readout rows."""
 
     FORMS = [pytest.param(make, form, id=name) for name, make, form in (
         ("real-generator", lambda rng: DepolarizingModel(gamma=1.0, phi=0.7),
@@ -360,8 +383,8 @@ class TestRunStepping:
         assert got.shape == (601, 1) + rows.shape
         assert len(lookups) == 1
         want, e = [rows], rows
-        for gap in np.diff(taus):
-            e = stepper.carry(e, gap)
+        for gap in np.diff(taus):  # one-tau effects, chained
+            e = witness._effects(e, np.array([gap]), stepper)[0]
             want.append(e)
         assert np.abs(got[:, 0] - np.array(want)).max() < 1e-12
 
@@ -783,6 +806,40 @@ class TestBatchPropagation:
         pair[1].flat[0] = np.nan
         with pytest.raises(NumericalDriftError):
             propagate(m, pair, TimeGrid.regular(1.0, 0.5), stepper=stepper)
+
+
+class TestSpans:
+    """Every stepping form refuses a span that runs backwards or ends at
+    NaN before stepping, and steps nothing across a zero span."""
+
+    FORMS = [pytest.param(make, form, id=name) for name, make, form in (
+        ("exponential", lambda: DepolarizingModel(gamma=1.0, phi=0.7),
+         PropagatorCache),
+        ("closed", lambda: random_unitary_model(np.random.default_rng(5), de=3),
+         evolve._ClosedCache),
+        ("rk4", lambda: DepolarizingModel(gamma=1.0, phi=0.7,
+                                          modulation=sine_modulation(0.5, 1.0)),
+         evolve._RK4Stepper),
+    )]
+
+    @pytest.mark.parametrize("make, form", FORMS)
+    @pytest.mark.parametrize("t0, t1", [(1.0, 0.0), (0.0, np.nan)],
+                             ids=["backwards", "nan"])
+    def test_bad_span_raises(self, make, form, t0, t1):
+        m = make()
+        assert type(stepping_cache(m)) is form
+        state = models.initial_state(m, np.diag([1.0, 0.0]))
+        with pytest.raises(InvariantViolation):
+            propagate_interval(m, state, t0, t1)
+
+    @pytest.mark.parametrize("make, form", FORMS)
+    def test_zero_span_returns_the_states(self, make, form):
+        # nothing is stepped: the states come back re-symmetrized only
+        m = make()
+        state = models.initial_state(m, random_density_matrix(
+            np.random.default_rng(8), 2))
+        got = propagate_interval(m, state, 0.5, 0.5)
+        assert np.array_equal(got, models.resymmetrized(m, state))
 
 
 class TestClosedForms:
