@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Dump the outputs of a qflow checkout, or compare two such dumps.
+
+    python3 scripts/compare_outputs.py dump --root CHECKOUT --seed 7 --out a.npz
+    python3 scripts/compare_outputs.py compare a.npz b.npz
+
+``dump`` imports qflow and ``perfbench.workloads`` from the checkout at
+``--root`` (the one holding this script by default) and runs every operation
+of the four benchmark workloads at ``--seed`` once, plus the CLI commands at
+their defaults.  Each CLI run is stored as its exit code, standard output and
+standard error; each library result as the arrays of its fields.  Model
+files are written under a relative directory of a fresh temporary working
+directory, so CSV headers that echo their paths agree between checkouts.
+
+``compare`` prints one line per entry that differs: text (CLI bytes) must be
+equal, arrays equal by ``np.array_equal`` (NaN equal to NaN, same shape);
+arrays that are not get their largest absolute and relative deviation.  It
+exits 0 when every entry is identical and 1 otherwise.
+"""
+
+import argparse
+import dataclasses
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+CLI_DEFAULTS = (["fig1a"], ["fig1b"], ["fig2"], ["td"], ["bound"],
+                ["cpf", "--scheme", "d"], ["cpf", "--scheme", "r"],
+                ["check-bystander"], ["validate"])
+
+
+def _entries(name, out):
+    """The stored arrays of one output, keyed under ``name``."""
+    if dataclasses.is_dataclass(out):
+        fields = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
+        if "code" in fields:  # a CLI run: text compared byte for byte
+            return {f"{name}/{k}": np.array(str(v)) for k, v in fields.items()}
+        return {f"{name}/{k}": np.asarray(v) for k, v in fields.items()
+                if v is not None}
+    return {name: np.asarray(out)}
+
+
+def dump(root: Path, seed: int, out: Path) -> None:
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from perfbench import workloads
+
+    entries = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for wname, make in workloads.WORKLOADS.items():
+                workdir = Path(wname)
+                workdir.mkdir()
+                for op in make(seed, workdir):
+                    entries.update(_entries(f"{wname}/{op.name}", op.call()))
+            for argv in CLI_DEFAULTS:
+                run = workloads._cli_call(argv)()
+                entries.update(_entries("cli/" + " ".join(argv), run))
+        finally:
+            os.chdir(cwd)
+    np.savez(out, **entries)
+    print(f"{len(entries)} entries from {root} at seed {seed} -> {out}")
+
+
+def _deviation(a, b) -> str:
+    if a.shape != b.shape:
+        return f"shape {a.shape} vs {b.shape}"
+    if a.dtype.kind in "US" or b.dtype.kind in "US":
+        return "text differs"
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diff = np.abs(a.astype(complex) - b.astype(complex))
+        rel = diff / np.maximum(np.abs(a), np.abs(b))
+    if not np.isfinite(diff[~(np.isnan(a) & np.isnan(b))]).all():
+        return "NaN or infinity in one dump only"
+    return (f"max abs {np.nanmax(diff):.3e}, "
+            f"max rel {np.nanmax(np.where(diff > 0, rel, 0.0)):.3e}")
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    a, b = np.load(path_a), np.load(path_b)
+    differ = 0
+    for key in sorted(set(a.files) | set(b.files)):
+        if key not in a.files or key not in b.files:
+            print(f"{key}: only in {path_a if key in a.files else path_b}")
+            differ += 1
+        elif not np.array_equal(a[key], b[key],
+                                equal_nan=a[key].dtype.kind in "fc"):
+            print(f"{key}: {_deviation(a[key], b[key])}")
+            differ += 1
+    total = len(set(a.files) | set(b.files))
+    print(f"{total - differ} of {total} entries identical")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("dump", help="run the workloads and CLI defaults")
+    p.add_argument("--root", type=Path,
+                   default=Path(__file__).resolve().parents[1])
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--out", type=Path, required=True)
+    p = sub.add_parser("compare", help="compare two dumps")
+    p.add_argument("a", type=Path)
+    p.add_argument("b", type=Path)
+    args = parser.parse_args()
+    if args.command == "dump":
+        dump(args.root.resolve(), args.seed, args.out.resolve())
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,12 @@ Every stepper has ``step_columns(out, v, t0, times)``, and the two caches
 place.  A cache fills a run of gaps that share its key by powers of the
 run's propagator squared while that saves numpy calls (about log2 of the
 run's length products for a small propagator); RK4 steps gap by gap.
+A short run of an uncached gap on a large generator (D >= 182) skips the
+exponential when that costs fewer multiply-adds: the columns, or the
+readout rows through G^T, are taken across each gap by the action of
+exp(G dt), truncated Taylor series with scaling (Al-Mohy & Higham, SIAM
+J. Sci. Comput. 33, 488 (2011)), in the exponent's real basis; the
+result is within about 2e-15 (relative) of the exponential.
 :func:`_propagate_through` is the one body that steps states, then
 re-symmetrizes and checks the stored series, a block of times at a time.
 """
@@ -129,11 +135,20 @@ class _HermitianBasis:
             a.setflags(write=False)
 
     @staticmethod
-    def _transform(m: np.ndarray, gather) -> np.ndarray:
-        """A m A^dag for the A whose row k holds the weights ``weight[:, k]``
-        at the columns ``index[:, k]``, ``gather = (index, weight)``."""
+    def _gather(m: np.ndarray, gather, conj: bool = False) -> np.ndarray:
+        """A m for the A whose row k holds the weights ``weight[:, k]`` at
+        the columns ``index[:, k]``, ``gather = (index, weight)``; conj(A) m
+        when ``conj``."""
         (i0, i1), (w0, w1) = gather
-        rows = m[i0] * w0[:, None] + m[i1] * w1[:, None]
+        if conj:
+            w0, w1 = w0.conj(), w1.conj()
+        return m[i0] * w0[:, None] + m[i1] * w1[:, None]
+
+    @staticmethod
+    def _transform(m: np.ndarray, gather) -> np.ndarray:
+        """A m A^dag for the A of ``gather``."""
+        (i0, i1), (w0, w1) = gather
+        rows = _HermitianBasis._gather(m, gather)
         return rows[:, i0] * w0.conj() + rows[:, i1] * w1.conj()
 
     def into(self, g: np.ndarray) -> np.ndarray:
@@ -143,6 +158,14 @@ class _HermitianBasis:
     def back(self, r: np.ndarray) -> np.ndarray:
         """T^dag r T."""
         return self._transform(r, self._back)
+
+    def columns_into(self, x: np.ndarray, conj: bool = False) -> np.ndarray:
+        """T x, or conj(T) x when ``conj``."""
+        return self._gather(x, self._into, conj)
+
+    def columns_back(self, y: np.ndarray, conj: bool = False) -> np.ndarray:
+        """T^dag y, or T^T y when ``conj``."""
+        return self._gather(y, self._back, conj)
 
 
 @functools.cache
@@ -155,7 +178,9 @@ class PropagatorCache:
     gap: its matrix exponential.  Given a Hermitian basis (as
     :func:`stepping_cache` gives a complex generator), the generator is
     changed once into that basis, where it is real, exponentiated in real
-    arithmetic and changed back."""
+    arithmetic and changed back.  A run of gaps whose propagator is not
+    cached may be stepped by the exponential's action instead, in the same
+    basis (:meth:`_taylor_plan`)."""
 
     def __init__(self, generator: Optional[np.ndarray],
                  basis: Optional[_HermitianBasis] = None):
@@ -176,26 +201,89 @@ class PropagatorCache:
     def step_columns(self, out: np.ndarray, v: np.ndarray, t0: float,
                      times: np.ndarray) -> None:
         """out[i] = the D x k columns ``v`` stepped from t0 to times[i]."""
-        self._through(out, v, _gaps(times, t0), self._stepped)
+        self._through(out, v, _gaps(times, t0), rows=False)
 
     def carry_rows(self, out: np.ndarray, rows: np.ndarray,
                    taus: np.ndarray) -> None:
         """out[i] = rows @ Phi(taus[i]), for increasing ``taus``."""
-        self._through(out, rows, _gaps(taus, 0.0), self._carried)
+        self._through(out, rows, _gaps(taus, 0.0), rows=True)
 
-    def _through(self, out, x, gaps, product) -> None:
-        """out[i] = x taken across gaps[:i + 1] by ``product``: each run of
-        gaps with one cache key from powers of its propagator, a run of key
-        0 (gaps within 5e-13 of zero, whose propagator is the identity) by
-        a copy."""
+    def _through(self, out, x, gaps, rows: bool) -> None:
+        """out[i] = x taken across gaps[:i + 1], as columns or as ``rows``:
+        each run of gaps with one cache key by the Taylor action when
+        :meth:`_taylor_plan` gives one, else from powers of its propagator;
+        a run of key 0 (gaps within 5e-13 of zero, whose propagator is the
+        identity) by a copy."""
         keys = _gap_key(gaps)
         for first, stop in _runs(keys):
-            run = out[first:stop]
+            run, dt = out[first:stop], gaps[first]
             if keys[first] == 0:
                 run[...] = x
+            elif plan := self._taylor_plan(keys[first], dt, len(run), x.size):
+                self._act(run, x, dt, plan, rows)
             else:
-                _by_squaring(run, x, self.at(gaps[first]), product)
+                _by_squaring(run, x, self.at(dt),
+                             self._carried if rows else self._stepped)
             x = run[-1]
+
+    @functools.cached_property
+    def _shifted(self):
+        """(A, mu, ||A||_1) with A = G - mu I and mu = tr G / D, for the
+        exponent G, taken real when it has no imaginary part."""
+        g = self._exponent
+        a = (g.real if not g.imag.any() else g).copy()
+        mu = np.trace(a) / len(a)
+        a.flat[::len(a) + 1] -= mu
+        return a, mu, float(np.abs(a).sum(axis=0).max())
+
+    def _taylor_plan(self, key, dt: float, n: int, size: int):
+        """The degree and steps (m, s) of the Taylor action that takes
+        ``size`` entries (k columns or rows of length D) across n gaps dt of
+        an uncached ``key``, when that costs fewer multiply-adds than the
+        exponential, else None.  Only where D^2 is at least four numpy
+        calls' worth of multiply-adds, so that the action's products are
+        bound by arithmetic: each of its at most m s products per gap costs
+        D^2 times its width (2k float columns when A is real, else k) plus
+        a call, against ``_EXPM_PRODUCTS`` D^3 for the exponential and D^2 k
+        per gap to apply it.  The cost of a non-finite or huge
+        ||A||_1 dt is not finite, which never takes the action."""
+        if self._exponent is None or key in self._cache:
+            return None
+        d = len(self._exponent)
+        if d * d < 4 * _CALL_MACS:
+            return None
+        a, _, norm = self._shifted
+        k = size // d
+        width = 2 * k if np.isrealobj(a) else k
+        with np.errstate(over="ignore"):
+            steps = np.maximum(np.ceil(norm * dt / _TAYLOR_THETA), 1.0)
+        best = np.argmin(_TAYLOR_DEGREES * steps)  # the first of a tie
+        m, s = _TAYLOR_DEGREES[best], steps[best]
+        action = n * m * s * (d * d * width + _CALL_MACS)
+        dense = (_EXPM_PRODUCTS * d + n * k) * d * d
+        return (int(m), int(s)) if action < dense else None  # NaN fails
+
+    def _act(self, run: np.ndarray, x: np.ndarray, dt: float, plan,
+             rows: bool) -> None:
+        """run[j] = x taken across j + 1 gaps dt by :func:`_taylor_step`
+        with A and mu of :attr:`_shifted`.  Columns are changed into the
+        exponent's basis once, by a one-sided gather, and each gap's result
+        back; readout rows are stepped as the columns of their transpose
+        under A^T, changed by conj(T) and T^T.  A complex block is stepped as
+        float pairs when A is real, so each term is one real product."""
+        a, mu, _ = self._shifted
+        d = len(a)
+        if rows:
+            a, x = a.T, x.reshape(-1, d).T
+        basis = self._basis
+        y = (np.array(x, dtype=complex, order="C") if basis is None
+             else basis.columns_into(x, conj=rows))
+        real = np.isrealobj(a)
+        for entry in run:
+            y = _taylor_step(a, mu, y.view(float) if real else y, dt, *plan)
+            y = y.view(complex) if real else y
+            cols = y if basis is None else basis.columns_back(y, conj=rows)
+            entry[...] = cols.T.reshape(entry.shape) if rows else cols
 
     @staticmethod
     def _stepped(src: np.ndarray, p: np.ndarray, dst: np.ndarray) -> None:
@@ -254,6 +342,46 @@ def _by_squaring(run: np.ndarray, x: np.ndarray, p: np.ndarray,
         done += k
         if len(run) - done > 2 * m * (1 + cube / _CALL_MACS):
             p, m = p @ p, 2 * m
+
+
+# the Taylor degrees m and the 1-norms theta_m up to which m terms of
+# exp(A) b meet double precision (Al-Mohy & Higham, "Computing the action of
+# the matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1,
+# and Higham, "Functions of Matrices", Table A.3)
+_TAYLOR_DEGREES = np.array(list(range(1, 31)) + [35, 40, 45, 50, 55])
+_TAYLOR_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2,
+    8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1,
+    9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08,
+    3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9])
+
+# D^3 multiply-adds of one dense exponential where the action can win
+# (degree-13 Pade: five products, a solve and a squaring or two)
+_EXPM_PRODUCTS = 8
+
+
+def _taylor_step(a: np.ndarray, mu, b: np.ndarray, dt: float, m: int,
+                 s: int) -> np.ndarray:
+    """exp((a + mu I) dt) b as s steps of at most m Taylor terms of
+    exp(a dt / s), each step scaled by exp(mu dt / s), a term stopping its
+    step early once it and the one before fall below 2^-53 of the sum
+    (Al-Mohy & Higham 2011, Algorithm 3.2, with the largest entry as the
+    norm of a block)."""
+    eta = np.exp(mu * dt / s)
+    f = b
+    for _ in range(s):
+        b, f = f, f.copy()
+        c1 = np.abs(b).max()
+        for j in range(1, m + 1):
+            b = a @ b
+            b *= dt / (s * j)
+            f += b
+            c2 = np.abs(b).max()
+            if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
+                break
+            c1 = c2
+        f *= eta
+    return f
 
 
 def _scaled(generator: np.ndarray, dt: float) -> np.ndarray:
@@ -469,14 +597,16 @@ def _propagate_through(model, state, times, t0: float = 0.0,
     """States, with any leading batch axes, stepped by one stepper from t0
     through the non-decreasing absolute ``times`` (a zero span steps
     nothing): shape (len(times),) + the shape of ``state``.  Times that run
-    backwards or are NaN raise InvariantViolation.  The stored series is
-    then re-symmetrized in place and checked, a block of times at a time:
-    trace drift of any state beyond 1e-8 (or a non-finite trace) raises,
-    naming the first such time.  States are never re-normalized."""
+    backwards or are not finite raise InvariantViolation before any
+    stepping.  The stored series is then re-symmetrized in place and
+    checked, a block of times at a time: trace drift of any state beyond
+    1e-8 (or a non-finite trace) raises, naming the first such time.
+    States are never re-normalized."""
     times = np.asarray(times, dtype=float)
-    if not np.all(np.diff(times, prepend=t0) >= 0):  # NaN fails
+    if not (np.isfinite(t0) and np.isfinite(times).all()
+            and np.all(np.diff(times, prepend=t0) >= 0)):
         raise InvariantViolation(
-            f"times from t0={t0:g} must not decrease or be NaN")
+            f"times from t0={t0:g} must be finite and must not decrease")
     v = _columns(model, state)
     flat = series(stepping_cache(model, stepper, step), v, times, t0)
     states = models.unflatten_state(model, flat.swapaxes(1, 2)).reshape(

@@ -46,7 +46,6 @@ from .qcore import (
     dag,
     hermiticity_preservation_residual,
     hermitize,
-    kraus_superoperator,
     kron,
     lift_env_superop,
     lift_system_superop,
@@ -428,15 +427,20 @@ def _generator(model: BipartiteModel, t: np.ndarray) -> np.ndarray:
     if isinstance(model, StochasticEnvModel):
         ds, nc = model.ds, model.env_dim
         n = ds * ds
-        gen = np.zeros((nc * n, nc * n), dtype=complex)
-        for c in range(nc):
-            gen[c * n:(c + 1) * n, c * n:(c + 1) * n] = model.lindblads[c]
-        for j in model.jumps:
-            src = slice(j.src * n, (j.src + 1) * n)
-            dst = slice(j.dst * n, (j.dst + 1) * n)
-            gen[src, src] -= j.rate * np.eye(n)
-            gen[dst, src] += j.rate * kraus_superoperator(j.kraus)
-        return gen
+        gen = np.zeros((nc, n, nc, n), dtype=complex)  # block (c', c) at [c', :, c]
+        gen[np.arange(nc), :, np.arange(nc)] = model.lindblads
+        if model.jumps:  # every jump at once, rounded as jump by jump
+            ks = np.array([k for j in model.jumps for k in j.kraus], dtype=complex)
+            owner = np.repeat(np.arange(len(model.jumps)),
+                              [len(j.kraus) for j in model.jumps])
+            supers = np.zeros((len(model.jumps), n, n), dtype=complex)
+            np.add.at(supers, owner, (ks.conj()[:, :, None, :, None]
+                                      * ks[:, None, :, None, :]).reshape(-1, n, n))
+            src, dst, rate = (np.array([getattr(j, f) for j in model.jumps])
+                              for f in ("src", "dst", "rate"))
+            np.subtract.at(gen, (src, slice(None), src), rate[:, None, None] * np.eye(n))
+            np.add.at(gen, (dst, slice(None), src), rate[:, None, None] * supers)
+        return gen.reshape(nc * n, nc * n)
     if isinstance(model, DepolarizingModel):
         gamma_t, phi_t = model.rates_at(t)
         if not (np.all(gamma_t > 0) and np.all(phi_t > 0)):  # NaN fails

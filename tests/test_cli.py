@@ -772,6 +772,31 @@ class TestParserReuse:
         assert comment.endswith(" cpf_random_late=0.000e+00")
         assert header == "t,d_full,d_adiabatic,revival"
 
+    def test_compare_outputs_reports_each_difference(self, tmp_path):
+        # text compared byte for byte, arrays by np.array_equal (NaN equal
+        # to NaN), a deviation reported as its largest absolute and
+        # relative size
+        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        same = {"cli/td/out": np.array("t,d\n0,1\n"),
+                "w/op/values": np.array([1.0, np.nan])}
+        np.savez(a, **same, **{"w/op/moved": np.array([1.0, 2.0]),
+                               "cli/td/err": np.array("")})
+        np.savez(b, **same, **{"w/op/moved": np.array([1.0, 2.0 + 2.0 ** -50]),
+                               "cli/td/err": np.array("warning\n")})
+        script = [sys.executable, str(REPO / "scripts" / "compare_outputs.py"),
+                  "compare"]
+        proc = subprocess.run(script + [str(a), str(a)], capture_output=True,
+                              text=True, env=FRESH_ENV)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == ["4 of 4 entries identical"]
+        proc = subprocess.run(script + [str(a), str(b)], capture_output=True,
+                              text=True, env=FRESH_ENV)
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines() == [
+            "cli/td/err: text differs",
+            "w/op/moved: max abs 8.882e-16, max rel 4.441e-16",
+            "2 of 4 entries identical"]
+
 
 def _reference_cell(x) -> str:
     """The per-cell CSV spelling of earlier releases."""

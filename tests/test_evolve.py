@@ -350,15 +350,22 @@ class TestRunStepping:
 
     def test_large_propagator_steps_a_short_run_unsquared(self, monkeypatch):
         # squaring a 256 x 256 propagator costs far more than the three
-        # product calls it would save on a run of four gaps
+        # product calls it would save on a run of four gaps; the propagator
+        # is cached first, as a short run of an uncached gap takes the
+        # Taylor action instead of an exponential
         gen = models.random_lindblad_generator(np.random.default_rng(6), 16)
-        stepper = PropagatorCache(gen)
-        products = self._count_products(monkeypatch, PropagatorCache)
         cols = np.random.default_rng(7).normal(size=(256, 2)) + 0j
         times = [0.1, 0.2, 0.3, 0.4]
+        products = self._count_products(monkeypatch, PropagatorCache)
+        acting = PropagatorCache(gen)
+        acted = evolve.series(acting, cols, times)
+        assert products == [] and acting._cache == {}
+        stepper = PropagatorCache(gen)
+        stepper.at(0.1)
         got = evolve.series(stepper, cols, times)
         assert products == [1, 1, 1, 1]
         assert np.abs(got - _advanced(stepper, cols, times)).max() < 1e-12
+        assert np.abs(acted - got).max() < 1e-12
 
     @pytest.mark.parametrize("make, form", FORMS)
     def test_mixed_gaps_match_chained_advance(self, make, form, lookups):
@@ -470,6 +477,96 @@ class TestExponentialCount:
         assert cli.main(["fig1b", "--phi-over-gamma", "0.3,1,3",
                          "--out", str(tmp_path / "fig1b.csv")]) == 0
         assert len(expm_calls) <= 3
+
+
+def _ring(nc, real=False):
+    """A stochastic environment whose labels hop to their ring neighbours:
+    D = 4 nc.  With ``real``, no label Lindbladian and Pauli kicks, so that
+    its generator is real."""
+    rng = np.random.default_rng(nc)
+    jumps = tuple(models.EnvJump(
+        src=c, dst=(c + step) % nc, rate=float(rng.uniform(0.5, 1.5)),
+        kraus=(PAULI_OPS[c % 3],) if real else models.random_cptp_kraus(rng, 2))
+        for c in range(nc) for step in (1, -1))
+    lindblads = tuple(np.zeros((4, 4)) if real
+                      else models.random_lindblad_generator(rng, 2)
+                      for _ in range(nc))
+    return models.StochasticEnvModel(lindblads=lindblads, jumps=jumps,
+                                     populations0=np.full(nc, 1.0 / nc))
+
+
+class TestTaylorAction:
+    """A short run of an uncached gap on a large generator is stepped by the
+    action of its exponential, without one, to 1e-13 of the exponential."""
+
+    MODELS = [pytest.param(real, id=name) for name, real in (
+        ("hermitian-basis", False), ("real-generator", True))]
+
+    @staticmethod
+    def _dense(m, dt):
+        return matrix_exp(models.assemble_generator(m) * dt)
+
+    @pytest.mark.parametrize("real", MODELS)
+    def test_columns_match_the_exponential(self, real, expm_calls):
+        m = _ring(64, real)
+        stepper = stepping_cache(m)
+        assert stepper._exponent.shape == (256, 256)
+        assert (stepper._basis is None) == real
+        cols = np.random.default_rng(1).normal(size=(256, 3, 2)) @ [1, 1j]
+        got = evolve.series(stepper, cols, [0.25, 0.5, 0.75, 1.0])
+        assert expm_calls == []
+        p, want, v = self._dense(m, 0.25), [], cols
+        for _ in range(4):
+            v = p @ v
+            want.append(v)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("real", MODELS)
+    def test_rows_match_the_exponential(self, real, expm_calls):
+        m = _ring(64, real)
+        stepper = stepping_cache(m)
+        rows = np.random.default_rng(2).normal(size=(2, 256, 2)) @ [1, 1j]
+        taus = np.array([0.0, 0.3, 0.6])
+        got = np.empty((3,) + rows.shape, dtype=complex)
+        stepper.carry_rows(got, rows, taus)
+        assert expm_calls == []
+        p = self._dense(m, 0.3)
+        want = np.array([rows, rows @ p, rows @ p @ p])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_a_short_run_takes_no_exponential(self, expm_calls):
+        m = _ring(64)
+        pair = np.array([models.initial_state(m, np.diag([1.0, 0.0])),
+                         models.initial_state(m, np.diag([0.0, 1.0]))])
+        propagate(m, pair, TimeGrid.regular(1.0, 0.25))
+        assert expm_calls == []
+
+    def test_a_long_run_takes_one_exponential(self, expm_calls):
+        m = _ring(64)
+        state = models.initial_state(m, np.diag([1.0, 0.0]))
+        propagate(m, state, TimeGrid.regular(6.0, 0.01))
+        assert expm_calls == [256]
+
+    @pytest.mark.parametrize("argv, count", [
+        pytest.param(argv, count, id=" ".join(argv)) for argv, count in (
+            (["fig1a"], 3), (["fig1b"], 3), (["fig2"], 5), (["td"], 1),
+            (["bound"], 1), (["cpf", "--scheme", "d"], 1),
+            (["cpf", "--scheme", "r"], 1), (["td", "--omega", "1"], 1),
+            (["bound", "--omega", "1"], 1), (["cpf", "--omega", "1"], 1))])
+    def test_small_models_keep_their_exponentials(self, argv, count,
+                                                  expm_calls, tmp_path):
+        # D = 16 (stacked) and D = 64 (driven): exponentials only, as before
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert len(expm_calls) == count
+        assert max(expm_calls) <= 64
+
+    def test_huge_gaps_take_the_exponential(self):
+        # a non-finite 1-norm times the gap never plans the action, so the
+        # overflow is reported by the exponential
+        stepper = stepping_cache(_ring(64))
+        with pytest.raises(NumericalDriftError):
+            evolve.series(stepper, np.ones((256, 1)), [1e307])
+        assert stepper._taylor_plan(1.0, np.inf, 1, 256) is None
 
 
 class TestRk4Blocks:
@@ -809,8 +906,8 @@ class TestBatchPropagation:
 
 
 class TestSpans:
-    """Every stepping form refuses a span that runs backwards or ends at
-    NaN before stepping, and steps nothing across a zero span."""
+    """Every stepping form refuses a span that runs backwards or has a
+    non-finite end before stepping, and steps nothing across a zero span."""
 
     FORMS = [pytest.param(make, form, id=name) for name, make, form in (
         ("exponential", lambda: DepolarizingModel(gamma=1.0, phi=0.7),
@@ -823,8 +920,9 @@ class TestSpans:
     )]
 
     @pytest.mark.parametrize("make, form", FORMS)
-    @pytest.mark.parametrize("t0, t1", [(1.0, 0.0), (0.0, np.nan)],
-                             ids=["backwards", "nan"])
+    @pytest.mark.parametrize("t0, t1", [(1.0, 0.0), (0.0, np.nan),
+                                        (0.0, np.inf), (-np.inf, 0.0)],
+                             ids=["backwards", "nan", "inf", "inf-start"])
     def test_bad_span_raises(self, make, form, t0, t1):
         m = make()
         assert type(stepping_cache(m)) is form

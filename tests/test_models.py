@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from qflow import models
+from qflow import models, qcore
 from qflow.evolve import (TimeGrid, propagate, propagate_interval,
                           solve_channel_coefficients)
 from qflow.models import (
@@ -38,6 +38,7 @@ from qflow.qcore import (
     NumericalDriftError,
     PAULI_OPS,
     basis_ket,
+    kraus_superoperator,
     kron,
     lindblad_superoperator,
     matrix_exp,
@@ -135,6 +136,45 @@ class TestAssembleGenerator:
             else:
                 d = m.ds * m.env_dim
                 assert trace_preservation_residual(gen, d) < 1e-9
+
+    @staticmethod
+    def _jump_by_jump(m: StochasticEnvModel) -> np.ndarray:
+        """The stacked generator added up one jump at a time."""
+        n = m.ds * m.ds
+        gen = np.zeros((m.env_dim * n, m.env_dim * n), dtype=complex)
+        for c, g in enumerate(m.lindblads):
+            gen[c * n:(c + 1) * n, c * n:(c + 1) * n] = g
+        for j in m.jumps:
+            src = slice(j.src * n, (j.src + 1) * n)
+            dst = slice(j.dst * n, (j.dst + 1) * n)
+            gen[src, src] -= j.rate * np.eye(n)
+            gen[dst, src] += j.rate * kraus_superoperator(j.kraus)
+        return gen
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stochastic_generator_matches_jump_by_jump_assembly(self, seed):
+        # repeated (src, dst) pairs and jumps, one to three Kraus operators
+        # per jump
+        rng = np.random.default_rng(seed)
+        ds, nc = (2, 3) if seed % 2 else (3, 4)
+        jumps = [EnvJump(src=int(s), dst=int((s + rng.integers(1, nc)) % nc),
+                         rate=float(rng.uniform()),
+                         kraus=random_cptp_kraus(rng, ds, int(rng.integers(1, 4))))
+                 for s in rng.integers(0, nc, size=3 * nc)]
+        kick = (PAULI_OPS[0],) if ds == 2 else (np.eye(ds),)  # exact zeros
+        jumps += [jumps[0], EnvJump(0, 1, 0.5, kick)]
+        m = StochasticEnvModel(
+            lindblads=tuple(random_lindblad_generator(rng, ds) for _ in range(nc)),
+            jumps=tuple(jumps), populations0=np.full(nc, 1.0 / nc))
+        got, want = assemble_generator(m), self._jump_by_jump(m)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros alike
+
+    def test_depolarizing_stack_matches_jump_by_jump_assembly(self):
+        for stacked in models._depolarizing_general(1.0, 0.7, 0.0, True), \
+                models._depolarizing_general(0.0, 1.0, 0.0, True):
+            got = assemble_generator(stacked)
+            assert got.tobytes() == self._jump_by_jump(stacked).tobytes()
 
 
 STACK_MODELS = [pytest.param(make, id=name) for name, make in (
@@ -606,7 +646,7 @@ class TestInvariantEnforcement:
 
     def test_kraus_sets_are_checked_without_superoperators(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(models, "kraus_superoperator",
+        monkeypatch.setattr(qcore, "kraus_superoperator",
                             lambda *a, **k: calls.append(a))
         # completeness residual 5e-10 passes, 2e-9 fails the 1e-9 bound
         for build in (EnvJump, Collision):
