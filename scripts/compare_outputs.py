@@ -7,20 +7,25 @@
 ``dump`` imports qflow and ``perfbench.workloads`` from the checkout at
 ``--root`` (the one holding this script by default) and runs every operation
 of the four benchmark workloads at ``--seed`` once, plus the CLI commands at
-their defaults.  Each CLI run is stored as its exit code, standard output and
-standard error; each library result as the arrays of its fields.  Model
-files are written under a relative directory of a fresh temporary working
-directory, so CSV headers that echo their paths agree between checkouts.
+their defaults, and ``td``, ``bound`` and ``cpf --scheme d|r`` at their
+defaults on two sine-modulated depolarizing model files, one undriven
+(stacked) and one driven (full), the CLI's RK4 runs.  Each CLI run is stored
+as its exit code, standard output and standard error; each library result as
+the arrays of its fields.  Model files are written under a relative
+directory of a fresh temporary working directory, so CSV headers that echo
+their paths agree between checkouts.
 
 ``compare`` prints one line per entry that differs: text (CLI bytes) must be
 equal, arrays equal by ``np.array_equal`` (NaN equal to NaN, same shape);
-arrays that are not get their largest absolute and relative deviation.  It
-exits 0 when every entry is identical and 1 otherwise.
+arrays that are not get their largest absolute and relative deviation, and
+so does text that differs only in its numbers.  It exits 0 when every entry
+is identical and 1 otherwise.
 """
 
 import argparse
 import dataclasses
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +35,15 @@ import numpy as np
 CLI_DEFAULTS = (["fig1a"], ["fig1b"], ["fig2"], ["td"], ["bound"],
                 ["cpf", "--scheme", "d"], ["cpf", "--scheme", "r"],
                 ["check-bystander"], ["validate"])
+
+# sine-modulated depolarizing model files by drive frequency, and the
+# commands run on each at their defaults
+MODULATED_FILES = {"modulated.json": 0.0, "modulated-driven.json": 1.5}
+MODULATED_COMMANDS = (["td"], ["bound"], ["cpf", "--scheme", "d"],
+                      ["cpf", "--scheme", "r"])
+
+# a number as the CLI writes it, in CSV fields and header comments
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
 def _entries(name, out):
@@ -46,6 +60,7 @@ def _entries(name, out):
 def dump(root: Path, seed: int, out: Path) -> None:
     sys.path[:0] = [str(root / "src"), str(root)]
     from perfbench import workloads
+    from qflow import models
 
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -57,7 +72,16 @@ def dump(root: Path, seed: int, out: Path) -> None:
                 workdir.mkdir()
                 for op in make(seed, workdir):
                     entries.update(_entries(f"{wname}/{op.name}", op.call()))
-            for argv in CLI_DEFAULTS:
+            runs = list(CLI_DEFAULTS)
+            Path("models").mkdir()
+            for name, omega in MODULATED_FILES.items():
+                path = Path("models") / name
+                models.save_model(models.DepolarizingModel(
+                    gamma=1.0, phi=0.7, omega=omega,
+                    modulation=models.sine_modulation(0.4, 0.9)), path)
+                runs += [argv + ["--model", str(path)]
+                         for argv in MODULATED_COMMANDS]
+            for argv in runs:
                 run = workloads._cli_call(argv)()
                 entries.update(_entries("cli/" + " ".join(argv), run))
         finally:
@@ -70,7 +94,11 @@ def _deviation(a, b) -> str:
     if a.shape != b.shape:
         return f"shape {a.shape} vs {b.shape}"
     if a.dtype.kind in "US" or b.dtype.kind in "US":
-        return "text differs"
+        a, b = str(a), str(b)
+        if NUMBER.split(a) != NUMBER.split(b):
+            return "text differs"
+        a, b = (np.array(NUMBER.findall(x), dtype=float) for x in (a, b))
+        return "numbers in the text: " + _deviation(a, b)
     with np.errstate(invalid="ignore", divide="ignore"):
         diff = np.abs(a.astype(complex) - b.astype(complex))
         rel = diff / np.maximum(np.abs(a), np.abs(b))

@@ -9,13 +9,15 @@ generator (taken in real arithmetic in a Hermitian operator basis when it
 is complex), the N x N unitaries of a closed model from one ``eigh`` of
 its Hamiltonian (so its (ds de)^2-square superoperator is never built), or
 fixed-step RK4 for modulated rates, reproducible run to run where adaptive
-stepping is not: a block of up to 63 substeps (at D = 16) is one assembly
-of its stage generators and one product of its step matrices.
+stepping is not: it works in the generator's block form (the four Pauli
+blocks of a depolarizing model), and a run of gaps with one substep count
+shares one assembly of its stage generators, each gap one product of its
+step matrices.
 Every stepper has ``step_columns(out, v, t0, times)``, and the two caches
 ``carry_rows(out, rows, taus)`` for readout rows; each writes a series in
 place.  A cache fills a run of gaps that share its key by powers of the
 run's propagator squared while that saves numpy calls (about log2 of the
-run's length products for a small propagator); RK4 steps gap by gap.
+run's length products for a small propagator).
 A short run of an uncached gap on a large generator (D >= 182) skips the
 exponential when that costs fewer multiply-adds: the columns, or the
 readout rows through G^T, are taken across each gap by the action of
@@ -44,6 +46,7 @@ from .qcore import (
     check_probabilities,
     check_rate,
     check_rate_pair,
+    gathered,
     matrix_exp,
     vec,
 )
@@ -139,10 +142,10 @@ class _HermitianBasis:
         """A m for the A whose row k holds the weights ``weight[:, k]`` at
         the columns ``index[:, k]``, ``gather = (index, weight)``; conj(A) m
         when ``conj``."""
-        (i0, i1), (w0, w1) = gather
         if conj:
-            w0, w1 = w0.conj(), w1.conj()
-        return m[i0] * w0[:, None] + m[i1] * w1[:, None]
+            index, (w0, w1) = gather
+            gather = index, (w0.conj(), w1.conj())
+        return gathered(m, gather)
 
     @staticmethod
     def _transform(m: np.ndarray, gather) -> np.ndarray:
@@ -432,12 +435,7 @@ class _RK4Stepper:
 
     def step_columns(self, out: np.ndarray, v: np.ndarray, t0: float,
                      times: np.ndarray) -> None:
-        # gap by gap, as the stages sit at absolute times; a zero gap copies
-        for i, t in enumerate(times):
-            if t != t0:
-                v = _rk4_span(self.model, v, t0, t, self.step)
-            out[i] = v
-            t0 = t
+        _rk4_span(self.model, out, v, t0, times, self.step)
 
 
 def stepping_cache(model, stepper: str = "auto",
@@ -475,94 +473,132 @@ def series(stepper, v: np.ndarray, times, t0: float = 0.0) -> np.ndarray:
     return out.reshape((times.size,) + v.shape)
 
 
-# entries in the stack of stage generators one RK4 block holds, which keeps
-# its memory small: 256 kB of float64 at 2^15, the 127 stage times of 63
-# substeps at D = 16, so a unit gap at step 0.02 (50 substeps) is one block
+# entries in one RK4 stack of stage generators, which keeps its memory small:
+# 256 kB of float64 at 2^15, the 511 stage times of 255 substeps in the four
+# 4 x 4 Pauli blocks of the stacked depolarizing model, so that five unit
+# gaps at step 0.02 (505 stage times) share one stack
 _RK4_STACK_ENTRIES = 2 ** 15
 
-# most substeps one RK4 span may take, about two minutes of stepping a pair
-# of states at D = 16 (2 cores, OpenBLAS); the longest span in the tests and
-# CLI defaults takes 7,500.  A longer span is refused before any stepping.
+# most substeps one RK4 gap may take, about two minutes of stepping a pair
+# of states at D = 16 (2 cores, OpenBLAS); the longest gap in the tests and
+# CLI defaults takes 7,500.  A longer gap is refused before any stepping.
 _RK4_MAX_SUBSTEPS = 10 ** 7
 
 
 # a substep far too long overflows to non-finite columns, which the callers'
 # trace and tensor checks report
 @np.errstate(over="ignore", invalid="ignore")
-def _rk4_span(model, v: np.ndarray, t0: float, t1: float,
-              step: Optional[float] = None) -> np.ndarray:
-    """Fixed-step integration of flattened state columns from t0 to t1.
+def _rk4_span(model, out: np.ndarray, v: np.ndarray, t0: float,
+              times: np.ndarray, step: Optional[float] = None) -> None:
+    """out[i] = the D x k columns ``v`` integrated by fixed-step RK4 from t0
+    to times[i]; each gap takes the fewest equal substeps of at most
+    ``step``, and a zero gap copies.
 
-    A substep from t to t + h needs the generator at t, t + h/2 and t + h,
-    and its end is the next substep's start, so one ``assemble_generator``
-    call per block of m substeps builds the 2 m + 1 distinct stage times.
-    A block holds as many substeps as keep that stack within
-    ``_RK4_STACK_ENTRIES`` entries (63 at D = 16, 3 at D = 64).  The starts
-    are one sequential sum, the same bits as ``t += h``.  With G1, G2, G3
-    the generators at t, t + h/2, t + h, a substep is v -> S v with
+    The generators come in the block form of ``assemble_generator``, so the
+    columns are changed once into its basis by a gather and each stack of
+    results back.  A substep from t to t + h needs the generator at t,
+    t + h/2 and t + h, and its end is the next substep's start, so a gap of
+    m substeps has 2 m + 1 distinct stage times; they are one running sum
+    ``t += h`` from the gap's start, bit for bit.  A run of gaps with one
+    substep count shares one ``assemble_generator`` call, as many gaps as
+    keep the stack within ``_RK4_STACK_ENTRIES`` entries (255 substeps in
+    the stacked depolarizing model's blocks, 15 in its full ones, 63 in one
+    block at D = 16); a gap longer than that takes a stack per part.  A
+    stack lists each gap's substep ends before its midpoints, so that the
+    three stages are contiguous slices of it.
+    With G1, G2, G3 the generators at t, t + h/2, t + h, a substep is
+    v -> S v with
 
         K2 = G2 (I + (h/2) G1),   K3 = G2 (I + (h/2) K2),   K4 = G3 (I + h K3),
         S = I + (h/6) (G1 + 2 (K2 + K3) + K4),
 
-    built for the whole block with three batched products, each identity
-    added on a diagonal view and the sum accumulated in place; the product
-    S_{m-1} ... S_0 then steps the columns once.  That reorders the
-    roundings only: the result is within 1e-13 (relative) of the
-    substep-by-substep columns.  A span of more than ``_RK4_MAX_SUBSTEPS``
-    substeps raises InvariantViolation.
+    built for the whole stack with three batched products, each identity
+    added on a diagonal view and the sum accumulated in place; each gap's
+    product S_{m-1} ... S_0 (:func:`_ordered_product`) then steps the
+    columns once.  That reorders the roundings only: the result is within
+    1e-13 (relative) of the substep-by-substep columns.  A gap of more than
+    ``_RK4_MAX_SUBSTEPS`` substeps raises InvariantViolation before any
+    stepping.
     """
     if step is None:
         step = default_rk4_step(model)
-    span = (t1 - t0) / step
-    if not span <= _RK4_MAX_SUBSTEPS:  # NaN fails
+    starts = np.concatenate(([t0], times[:-1]))
+    gaps = times - starts
+    spans = gaps / step
+    bad = np.flatnonzero(~(spans <= _RK4_MAX_SUBSTEPS))  # NaN fails
+    if bad.size:
+        i = bad[0]
         raise InvariantViolation(
-            f"span {t0:g} to {t1:g} needs {span:.3g} RK4 substeps of {step:g}, "
-            f"more than {_RK4_MAX_SUBSTEPS:g}")
-    n = max(1, int(np.ceil(span - 1e-12)))
-    h = (t1 - t0) / n
-    block = max(1, (_RK4_STACK_ENTRIES // v.shape[0] ** 2 - 1) // 2)
-    t = t0
-    for first in range(0, n, block):
-        m = min(block, n - first)
-        starts = np.full(m + 1, h)
-        starts[0] = t
-        np.add.accumulate(starts, out=starts)
-        times = np.empty(2 * m + 1)
-        times[0::2] = starts
-        times[1::2] = starts[:-1] + 0.5 * h
-        t = starts[-1]
-        gens = models.assemble_generator(model, times)
-        g1, g2, g3 = gens[0:-1:2], gens[1::2], gens[2::2]
-        # ``lhs`` holds I + (h/2) G1, I + (h/2) K2, I + h K3 in turn
-        lhs = _add_identity(np.multiply(g1, 0.5 * h))
-        k2 = g2 @ lhs
-        k3 = g2 @ _add_identity(np.multiply(k2, 0.5 * h, out=lhs))
-        _add_identity(np.multiply(k3, h, out=lhs))
-        steps = k2  # G1 + 2 (K2 + K3) + K4, accumulated in place
-        steps += k3
-        steps *= 2.0
-        steps += g1
-        steps += np.matmul(g3, lhs, out=k3)
-        steps *= h / 6.0
-        v = _ordered_product(_add_identity(steps)) @ v
-    return v
+            f"span {starts[i]:g} to {times[i]:g} needs {spans[i]:.3g} RK4 "
+            f"substeps of {step:g}, more than {_RK4_MAX_SUBSTEPS:g}")
+    counts = np.where(gaps == 0, 0, np.maximum(1, np.ceil(spans - 1e-12)))
+    h = gaps / np.maximum(counts, 1)
+    nb, into, back = models.block_basis(model)
+    d, k = v.shape
+    y = (v if into is None else gathered(v, into)).reshape(nb, -1, k)
+    stack_times = _RK4_STACK_ENTRIES // (d * d // nb)
+    block = max(1, (stack_times - 1) // 2)  # substeps one stack holds
+    for first, stop in _runs(counts):
+        n = int(counts[first])
+        if n == 0:
+            out[first:stop] = out[first - 1] if first else v
+            continue
+        per = max(1, stack_times // (2 * n + 1))
+        for lo in range(first, stop, per):
+            hi = min(stop, lo + per)
+            hh = h[lo:hi, None]
+            w = hh[:, :, None, None, None]  # h of each gap, against the stack
+            t = starts[lo:hi]
+            ys = np.empty((hi - lo,) + y.shape, dtype=complex)
+            for done in range(0, n, block):
+                m = min(block, n - done)
+                # per gap, the m + 1 ends of its substeps, then the m midpoints
+                stage = np.empty((hi - lo, 2 * m + 1))
+                ends = stage[:, :m + 1]
+                ends[:, 0], ends[:, 1:] = t, hh
+                np.add.accumulate(ends, axis=1, out=ends)
+                np.add(ends[:, :-1], 0.5 * hh, out=stage[:, m + 1:])
+                t = ends[:, -1]
+                gens = models.assemble_generator(model, stage, blocks=True)
+                g1, g2, g3 = gens[:, :m], gens[:, m + 1:], gens[:, 1:m + 1]
+                # ``lhs`` holds I + (h/2) G1, I + (h/2) K2, I + h K3 in turn
+                lhs = _add_identity(np.multiply(g1, 0.5 * w))
+                k2 = g2 @ lhs
+                k3 = g2 @ _add_identity(np.multiply(k2, 0.5 * w, out=lhs))
+                _add_identity(np.multiply(k3, w, out=lhs))
+                steps = k2  # G1 + 2 (K2 + K3) + K4, accumulated in place
+                steps += k3
+                steps *= 2.0
+                steps += g1
+                steps += np.matmul(g3, lhs, out=k3)
+                steps *= w / 6.0
+                for j, p in enumerate(_ordered_product(_add_identity(steps))):
+                    y = ys[j] = p @ y
+            cols = ys.reshape(hi - lo, d, k)
+            out[lo:hi] = cols if back is None else gathered(cols, back)
 
 
 def _add_identity(stack: np.ndarray) -> np.ndarray:
     """``stack`` with I added to each of its matrices in place, through a
     flat view of the diagonals; ``stack`` must be C-contiguous."""
-    stack.reshape(len(stack), -1)[:, ::stack.shape[-1] + 1] += 1.0
+    n = stack.shape[-1]
+    stack.reshape(-1, n * n)[:, ::n + 1] += 1.0
     return stack
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """The product ``mats[m-1] @ ... @ mats[0]`` of a stack, reduced pairwise
-    with one batched product per level; an odd one out is carried up."""
-    while len(mats) > 1:
-        odd = len(mats) % 2
-        pairs = mats[1::2] @ mats[0:len(mats) - odd:2]
-        mats = np.concatenate((pairs, mats[-1:])) if odd else pairs
-    return mats[0]
+    """The products ``mats[i, m-1] @ ... @ mats[i, 0]`` of a (g, m, ...)
+    stack, reduced pairwise along its axis 1 with one batched product per
+    level; an odd one out is copied into the last slot of the next level."""
+    while mats.shape[1] > 1:
+        half, odd = divmod(mats.shape[1], 2)
+        pairs = np.empty(mats.shape[:1] + (half + odd,) + mats.shape[2:],
+                         dtype=mats.dtype)
+        np.matmul(mats[:, 1::2], mats[:, 0:2 * half:2], out=pairs[:, :half])
+        if odd:
+            pairs[:, half] = mats[:, -1]
+        mats = pairs
+    return mats[:, 0]
 
 
 def _columns(model, states) -> np.ndarray:

@@ -36,6 +36,7 @@ from .qcore import (
     PROPAGATION_TOL,
     InvariantViolation,
     NumericalDriftError,
+    PAULI_CHANGE,
     PAULI_OPS,
     check_hermitian,
     check_kraus,
@@ -44,6 +45,7 @@ from .qcore import (
     check_rate_pair,
     conjugation_superop,
     dag,
+    gathered,
     hermiticity_preservation_residual,
     hermitize,
     kron,
@@ -399,31 +401,83 @@ def _depolarizing_parts(stacked: bool) -> tuple:
 
 
 @functools.cache
-def _depolarizing_rows(stacked: bool) -> np.ndarray:
+def _pauli_gathers(stacked: bool) -> tuple:
+    """The gathers (:func:`~qflow.qcore.gathered`) of the change T of a
+    flattened depolarizing state into its qubit's Pauli components
+    (``PAULI_CHANGE``), and of T^-1 = T^T / 2 back.  New coordinate j n + p
+    is component j of environment entry p: of label p when stacked
+    (n = 4), of the levels (e, f) = divmod(p, 4) when full (n = 16)."""
+    if stacked:  # entry (a, b) of label e at 4 e + a + 2 b
+        qubit, env = np.arange(4), 4 * np.arange(4)
+    else:  # entry (a e, b f) of the 8 x 8 state at 4 a + e + 8 (4 b + f)
+        qubit = np.array([0, 4, 32, 36])
+        env = np.add.outer(np.arange(4), 8 * np.arange(4)).ravel()
+    old = np.add.outer(qubit, env)  # flat position of entry q of env entry p
+    new = np.add.outer(env.size * np.arange(4), np.arange(env.size))
+    gathers = []
+    for change, src, dst in ((PAULI_CHANGE, old, new),
+                             (PAULI_CHANGE.T / 2, new, old)):
+        rows, cols = np.nonzero(change)  # two entries in each row
+        index, weight = np.empty((2, old.size), dtype=np.intp), np.empty((2, old.size))
+        index[:, dst] = src[cols.reshape(4, 2).T]
+        weight[:, dst] = change[rows, cols].reshape(4, 2).T[..., None]
+        for a in (index, weight):
+            a.setflags(write=False)
+        gathers.append((tuple(index), tuple(weight)))
+    return tuple(gathers)
+
+
+def block_basis(model: BipartiteModel) -> tuple:
+    """``(nblocks, into, back)`` of the block form of
+    :func:`assemble_generator`: the gathers of the change into its basis
+    and back, None for the identity.  A depolarizing model has the four
+    Pauli blocks of :func:`_pauli_gathers`; every other model one block in
+    the identity basis."""
+    if isinstance(model, DepolarizingModel):
+        return (4,) + _pauli_gathers(uses_stacked(model))
+    return 1, None, None
+
+
+@functools.cache
+def _depolarizing_rows(stacked: bool, blocks: bool) -> np.ndarray:
     """The parts flattened, one row each, so that a stack of generators is
-    the rates (one row per time) times these rows."""
-    parts = _depolarizing_parts(stacked)
-    rows = np.stack(parts).reshape(len(parts), -1)
+    the rates (one row per time) times these rows; with ``blocks``, the
+    four diagonal blocks of each part changed into the Pauli basis, T P
+    T^T / 2, whose other entries are zero."""
+    parts = np.stack(_depolarizing_parts(stacked))
+    if blocks:
+        into, _ = _pauli_gathers(stacked)
+        t = gathered(np.eye(parts.shape[-1]), into)
+        n = parts.shape[-1] // 4
+        parts = np.einsum("ijpjq->ijpq", (t @ parts @ t.T * 0.5).reshape(
+            len(parts), 4, n, 4, n))
+    rows = parts.reshape(len(parts), -1)
     rows.setflags(write=False)
     return rows
 
 
-def assemble_generator(model: BipartiteModel, t=0.0) -> np.ndarray:
+def assemble_generator(model: BipartiteModel, t=0.0,
+                       blocks: bool = False) -> np.ndarray:
     """Generator acting on the flattened representation at time ``t``.
 
     An array of times gives the stack of generators, shape
     ``t.shape + (D, D)``; a modulation is called once, on the array.  A
     time-independent model returns a read-only broadcast view of its one
-    generator.
+    generator.  With ``blocks``, the generator is given as its diagonal
+    blocks in the basis of :func:`block_basis`, shape ``t.shape + (nb, n,
+    n)`` with nb n = D: T G T^-1, whose other entries are zero.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim and not is_time_dependent(model):
-        gen = _generator(model, np.asarray(0.0))
+        gen = _generator(model, np.asarray(0.0), blocks)
         return np.broadcast_to(gen, t.shape + gen.shape)
-    return _generator(model, t)
+    return _generator(model, t, blocks)
 
 
-def _generator(model: BipartiteModel, t: np.ndarray) -> np.ndarray:
+def _generator(model: BipartiteModel, t: np.ndarray,
+               blocks: bool = False) -> np.ndarray:
+    if blocks and not isinstance(model, DepolarizingModel):
+        return _generator(model, t)[..., None, :, :]
     if isinstance(model, StochasticEnvModel):
         ds, nc = model.ds, model.env_dim
         n = ds * ds
@@ -448,8 +502,9 @@ def _generator(model: BipartiteModel, t: np.ndarray) -> np.ndarray:
         stacked = uses_stacked(model)
         rates = [gamma_t, phi_t] + ([] if stacked else [np.full(t.shape, model.omega)])
         # one product: a row of rates per time times the flattened parts
-        gen = np.stack(rates, axis=-1) @ _depolarizing_rows(stacked)
-        return gen.reshape(t.shape + _depolarizing_parts(stacked)[0].shape)
+        gen = np.stack(rates, axis=-1) @ _depolarizing_rows(stacked, blocks)
+        d = _depolarizing_parts(stacked)[0].shape[0]
+        return gen.reshape(t.shape + ((4, d // 4, d // 4) if blocks else (d, d)))
     if isinstance(model, QuantumBystanderModel):
         ds, de = dims(model)
         d = ds * de

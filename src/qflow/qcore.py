@@ -43,6 +43,14 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 #: Pauli channel operators in the label order used throughout: x, y, z, identity.
 PAULI_OPS = (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2)
 
+# a qubit's column-stacked entries (X00, X10, X01, X11) into its Pauli
+# components (X00 + X11, X01 + X10, X10 - X01, X00 - X11), which are x_0,
+# x_x, i x_y and x_z: each goes to plus or minus itself under every
+# sigma_k X sigma_k, and the way back is the transpose halved
+PAULI_CHANGE = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+                         [0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+PAULI_CHANGE.setflags(write=False)
+
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
@@ -143,6 +151,14 @@ def vec(x: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec` for a dim x dim matrix."""
     return np.asarray(v).reshape((dim, dim), order="F")
+
+
+def gathered(x: np.ndarray, gather) -> np.ndarray:
+    """A x over the axis -2 of ``x``, for the A whose row k holds the
+    weights ``weight[:, k]`` at the columns ``index[:, k]``, ``gather =
+    (index, weight)``."""
+    (i0, i1), (w0, w1) = gather
+    return x[..., i0, :] * w0[:, None] + x[..., i1, :] * w1[:, None]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -26,8 +26,9 @@ model), outcome z at (t, tau) is (rows @ Phi(tau)) . relay(t): the rows
 conj(flatten(Pi_z (x) 1_E)) are carried across the taus, each run of
 equal gaps from powers of its propagator, and one matrix product per block
 reads the product grid and the diagonal alike, with no exponential per t.
-The RK4 stepper of modulated rates steps each t's relays across its taus
-instead.
+The RK4 stepper of modulated rates has no rows to carry, since its stages
+sit at absolute times: it steps each t's relays across all its taus in one
+call instead.
 """
 
 from __future__ import annotations
@@ -335,7 +336,8 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus, scheme, policy,
     with ``carry_rows`` carries the rows instead, once across the gaps of
     the taus, and the effects rows @ Phi(tau) read every (t, tau) of a
     block with one matrix product.  The RK4 stepper steps each t's relays
-    across its taus, since its stages sit at absolute times.
+    across all its taus in one ``series``, since its stages sit at absolute
+    times.
     Each readout is weighted by the policy (random scheme) or by one
     (deterministic scheme).
     """

@@ -458,9 +458,9 @@ class TestExponentialCount:
         calls = []
         assemble = models.assemble_generator
 
-        def counting(model, t=0.0):
+        def counting(model, t=0.0, blocks=False):
             calls.append(np.size(t))
-            return assemble(model, t)
+            return assemble(model, t, blocks)
 
         monkeypatch.setattr(models, "assemble_generator", counting)
         m = DepolarizingModel(gamma=1.0, phi=1.0,
@@ -570,9 +570,10 @@ class TestTaylorAction:
 
 
 class TestRk4Blocks:
-    """``_rk4_span`` assembles a block of stage generators per call, at the
-    classic running-sum stage times bit for bit, and steps the block as one
-    product of step matrices, within rounding of the classic RK4."""
+    """``_rk4_span`` assembles a stack of stage generators per call in the
+    block form, for a run of gaps with one substep count, at the classic
+    running-sum stage times bit for bit, and steps each gap as one product
+    of step matrices, within rounding of the classic RK4."""
 
     MODELS = [pytest.param(make, id=name) for name, make in (
         ("modulated", lambda rng: DepolarizingModel(
@@ -598,8 +599,15 @@ class TestRk4Blocks:
         return v, n
 
     @staticmethod
-    def block_of(d):
-        return max(1, (evolve._RK4_STACK_ENTRIES // d ** 2 - 1) // 2)
+    def block_of(model):
+        """Substeps one stack holds: 2 m + 1 stage times of nb blocks of
+        n x n within ``_RK4_STACK_ENTRIES``."""
+        nb = models.block_basis(model)[0]
+        d = np.size(models.assemble_generator(model), 0)
+        return max(1, (evolve._RK4_STACK_ENTRIES * nb // d ** 2 - 1) // 2)
+
+    def rk4_series(self, model, v, times, t0, step):
+        return evolve.series(stepping_cache(model, "rk4", step), v, times, t0)
 
     @pytest.mark.parametrize("make", MODELS)
     @pytest.mark.parametrize("columns", [(), (3,)], ids=["vector", "matrix"])
@@ -613,70 +621,130 @@ class TestRk4Blocks:
     ])
     def test_matches_classic_rk4(self, make, columns, substeps):
         # the step product reorders the roundings; the worst relative
-        # deviation measured over these cases is 4.9e-15
+        # deviation measured over these cases is 3.3e-15
         rng = np.random.default_rng(41)
         m = make(rng)
         d = np.size(models.assemble_generator(m), 0)
-        n = substeps(self.block_of(d))
+        n = substeps(self.block_of(m))
         v = rng.normal(size=(d,) + columns) + 1j * rng.normal(size=(d,) + columns)
         t1 = self.T0 + n * self.STEP
         want, n_classic = self.classic_rk4(m, v, self.T0, t1, self.STEP)
         assert n_classic == n
-        got = evolve._rk4_span(m, v, self.T0, t1, self.STEP)
+        got = self.rk4_series(m, v, [t1], self.T0, self.STEP)[0]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_stage_times_are_the_running_sum(self, monkeypatch):
+    @pytest.mark.parametrize("make", MODELS)
+    def test_series_matches_classic_rk4_gap_by_gap(self, make):
+        # substep counts 3, 3, 0 (a zero gap), 7, 7, 7, longer than one
+        # stack, and 3 again: runs that share a stack, split one, or copy
+        rng = np.random.default_rng(43)
+        m = make(rng)
+        d = np.size(models.assemble_generator(m), 0)
+        counts = [3, 3, 0, 7, 7, 7, 2 * self.block_of(m) + 5, 3]
+        times = self.T0 + np.cumsum(counts) * self.STEP
+        v = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+        got = self.rk4_series(m, v, times, self.T0, self.STEP)
+        t0, want = self.T0, v
+        for t, entry in zip(times, got):
+            if t != t0:
+                want = self.classic_rk4(m, want, t0, t, self.STEP)[0]
+            assert np.abs(entry - want).max() <= 1e-13 * np.abs(want).max()
+            t0 = t
+
+    def test_static_series_is_chained_one_gap_series(self):
+        # a stack of several gaps steps each gap with its own product, in
+        # the same order as one gap per call
+        rng = np.random.default_rng(44)
+        m = random_stochastic_env(rng, nc=3)
+        stepper = stepping_cache(m, "rk4", self.STEP)
+        counts = [4, 4, 4, 0, 9, 9, 2 * self.block_of(m) + 1, 1, 1]
+        times = self.T0 + np.cumsum(counts) * self.STEP
+        v = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+        got = evolve.series(stepper, v, times, self.T0)
+        assert np.array_equal(got, _advanced(stepper, v, times, self.T0))
+
+    @staticmethod
+    def capture(monkeypatch):
+        """The stage times of each ``assemble_generator`` call, checking
+        that it asks for the block form and that its stack holds at most
+        ``_RK4_STACK_ENTRIES`` entries."""
         stacks = []
         assemble = models.assemble_generator
 
-        def capturing(model, t=0.0):
+        def capturing(model, t=0.0, blocks=False):
             stacks.append(np.array(t))
-            return assemble(model, t)
+            gens = assemble(model, t, blocks)
+            assert blocks and gens.size <= evolve._RK4_STACK_ENTRIES
+            return gens
 
         monkeypatch.setattr(models, "assemble_generator", capturing)
+        return stacks
+
+    def test_stage_times_are_the_running_sum(self, monkeypatch):
         m = DepolarizingModel(gamma=1.0, phi=0.7,
                               modulation=sine_modulation(0.4, 0.9))
-        block = self.block_of(16)
-        n = 2 * block + 3
-        # at this step the running sum differs from t0 + i h in the last bits
-        t1 = self.T0 + n * 0.0123
-        evolve._rk4_span(m, np.ones(16, dtype=complex), self.T0, t1, 0.0123)
-        h = (t1 - self.T0) / n
-        t, want = self.T0, []
-        for first in range(0, n, block):
-            for _ in range(min(block, n - first)):
-                want += [t, t + 0.5 * h]
-                t += h
-            want.append(t)
-        assert np.array_equal(np.concatenate(stacks), want)
+        block = self.block_of(m)
+        stacks = self.capture(monkeypatch)
+        # one gap longer than two stacks, then two gaps of 7 substeps that
+        # share one stack; at this step the running sum differs from
+        # t0 + i h in the last bits
+        counts = [2 * block + 3, 7, 7]
+        times = self.T0 + np.cumsum(counts) * 0.0123
+        self.rk4_series(m, np.ones(16, dtype=complex), times, self.T0, 0.0123)
+        assert [s.shape for s in stacks] == [(1, 2 * block + 1)] * 2 + [
+            (1, 7), (2, 15)]
+        # a row per gap (or part of one): its substeps' ends, then midpoints
+        want, t0 = [], self.T0
+        for n, t1 in zip(counts, times):
+            h, t = (t1 - t0) / n, t0
+            for first in range(0, n, block):
+                ends, mids = [t], []
+                for _ in range(min(block, n - first)):
+                    mids.append(t + 0.5 * h)
+                    t += h
+                    ends.append(t)
+                want.append(ends + mids)
+            t0 = t1
+        got = [row for stack in stacks for row in stack]
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
-    def assembly_sizes(self, monkeypatch, t0, t1, step):
+    def assembly_sizes(self, monkeypatch, t0, times, step):
         """The number of times of each ``assemble_generator`` call that one
-        modulated span makes."""
-        sizes = []
-        assemble = models.assemble_generator
-
-        def counting(model, t=0.0):
-            sizes.append(np.size(t))
-            return assemble(model, t)
-
-        monkeypatch.setattr(models, "assemble_generator", counting)
+        modulated series makes."""
+        stacks = self.capture(monkeypatch)
         m = DepolarizingModel(gamma=1.0, phi=0.7,
                               modulation=sine_modulation(0.4, 0.9))
-        evolve._rk4_span(m, np.ones(16, dtype=complex), t0, t1, step)
-        return sizes
+        self.rk4_series(m, np.ones(16, dtype=complex), times, t0, step)
+        return [s.size for s in stacks]
 
     def test_one_assembly_per_block(self, monkeypatch):
-        block = self.block_of(16)
+        block = self.block_of(DepolarizingModel(
+            gamma=1.0, phi=0.7, modulation=sine_modulation(0.4, 0.9)))
         n = 2 * block + 3
         sizes = self.assembly_sizes(monkeypatch, self.T0,
-                                    self.T0 + n * self.STEP, self.STEP)
-        assert block == 63  # a stack of 127 generators, at most 2^15 entries
+                                    [self.T0 + n * self.STEP], self.STEP)
+        # 511 stage times of four 4 x 4 blocks: 32,704 entries, at most 2^15
+        assert block == 255
         assert sizes == [2 * block + 1, 2 * block + 1, 2 * 3 + 1]
 
-    def test_unit_gap_is_one_block(self, monkeypatch):
-        # a unit output gap at step 0.02 is 50 substeps: one assembly
-        assert self.assembly_sizes(monkeypatch, 3.0, 4.0, 0.02) == [2 * 50 + 1]
+    def test_unit_gaps_share_a_block(self, monkeypatch):
+        # a unit output gap at step 0.02 is 50 substeps: five such gaps,
+        # 505 stage times, are one assembly
+        sizes = self.assembly_sizes(monkeypatch, 3.0, np.arange(4.0, 10.0), 0.02)
+        assert sizes == [5 * (2 * 50 + 1), 2 * 50 + 1]
+
+    def test_an_over_long_gap_is_refused_before_any_stepping(self, monkeypatch):
+        # the third gap needs more than _RK4_MAX_SUBSTEPS substeps: nothing
+        # is assembled for the two gaps before it
+        stacks = self.capture(monkeypatch)
+        m = DepolarizingModel(gamma=1.0, phi=0.7,
+                              modulation=sine_modulation(0.4, 0.9))
+        step = 0.02
+        times = [1.0, 2.0, 2.0 + 2 * step * evolve._RK4_MAX_SUBSTEPS]
+        with pytest.raises(InvariantViolation, match="RK4 substeps"):
+            self.rk4_series(m, np.ones(16, dtype=complex), times, 0.0, step)
+        assert stacks == []
 
     @pytest.mark.parametrize("value", [1.0, np.nan], ids=["reaches-one", "nan"])
     def test_bad_modulation_inside_a_span_raises(self, value):

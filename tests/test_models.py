@@ -292,6 +292,85 @@ class TestGeneratorStack:
             assemble_generator(m, np.linspace(0.0, 1.0, 11))
 
 
+class TestPauliBlocks:
+    """The depolarizing generator, environment included, splits into four
+    blocks, one per Pauli component of the qubit, in both representations;
+    ``assemble_generator(..., blocks=True)`` gives them."""
+
+    REPRESENTATIONS = pytest.mark.parametrize("stacked", [True, False],
+                                              ids=["stacked", "full"])
+
+    @staticmethod
+    def changes(stacked):
+        """T and its way back as dense matrices, from their gathers."""
+        into, back = models._pauli_gathers(stacked)
+        eye = np.eye(16 if stacked else 64)
+        return qcore.gathered(eye, into), qcore.gathered(eye, back)
+
+    @staticmethod
+    def block_mask(d):
+        return np.kron(np.eye(4), np.ones((d // 4, d // 4))).astype(bool)
+
+    @REPRESENTATIONS
+    def test_unit_parts_have_no_off_block_entries(self, stacked):
+        t, _ = self.changes(stacked)
+        parts = models._depolarizing_parts(stacked)
+        assert len(parts) == (2 if stacked else 3)  # gamma, phi (, omega)
+        for part in parts:
+            changed = t @ part @ t.T / 2
+            assert not changed[~self.block_mask(len(t))].any()
+            assert np.abs(changed).max() > 0
+
+    @REPRESENTATIONS
+    def test_way_back_is_the_transpose_halved(self, stacked):
+        t, back = self.changes(stacked)
+        assert np.array_equal(back, t.T / 2)
+        # each new coordinate is the sum or difference of two old ones
+        assert set(np.unique(t)) == {-1.0, 0.0, 1.0}
+        assert np.array_equal(np.count_nonzero(t, axis=1), np.full(len(t), 2))
+        assert np.array_equal(t @ back, np.eye(len(t)))
+
+    @pytest.mark.parametrize("make", STACK_MODELS)
+    def test_block_form_maps_back_to_the_dense_generator(self, make):
+        m = make(np.random.default_rng(32))
+        times = TestGeneratorStack.TIMES
+        dense = assemble_generator(m, times)
+        blocks = assemble_generator(m, times, blocks=True)
+        nb, into, back = models.block_basis(m)
+        d = dense.shape[-1]
+        assert blocks.shape == times.shape + (nb, d // nb, d // nb)
+        assert np.array_equal(assemble_generator(m, 0.13, blocks=True), blocks[1])
+        full = np.zeros(dense.shape, dtype=blocks.dtype)
+        for j in range(nb):
+            part = slice(j * d // nb, (j + 1) * d // nb)
+            full[:, part, part] = blocks[:, j]
+        if into is None:
+            assert nb == 1 and back is None
+            assert np.array_equal(full, dense)
+        else:
+            t, way_back = self.changes(models.uses_stacked(m))
+            assert np.abs(way_back @ full @ t - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize("modulation", [
+        pytest.param(lambda t: np.where(t > 0.5, 1.0, 0.2), id="reaches-one"),
+        pytest.param(lambda t: np.where(t > 0.5, np.nan, 0.2), id="nan"),
+        pytest.param(lambda t: 0.3 * math.sin(t), id="scalar-only"),
+    ])
+    @pytest.mark.parametrize("omega", [0.0, 1.5], ids=["stacked", "driven"])
+    def test_checks_raise_through_the_block_form(self, modulation, omega):
+        m = DepolarizingModel(gamma=1.0, phi=1.0, omega=omega,
+                              modulation=modulation)
+        with pytest.raises(InvariantViolation):
+            assemble_generator(m, np.linspace(0.0, 1.0, 11), blocks=True)
+
+    def test_rates_that_round_to_zero_raise_through_the_block_form(self):
+        # the smallest gamma halved by the modulation is zero
+        m = DepolarizingModel(gamma=5e-324, phi=1.0,
+                              modulation=lambda t: np.full(np.shape(t), -0.5))
+        with pytest.raises(InvariantViolation, match="stay positive"):
+            assemble_generator(m, np.linspace(0.0, 1.0, 11), blocks=True)
+
+
 class TestStochasticEnv:
     @settings(max_examples=10, deadline=None)
     @given(seeds)
@@ -435,7 +514,7 @@ class TestBystanderCheck:
             monkeypatch.setattr(UnitaryModel, "total_hamiltonian", lambda self: h)
         else:
             noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            monkeypatch.setattr(models, "assemble_generator", lambda m, t=0.0: noise)
+            monkeypatch.setattr(models, "assemble_generator", lambda m, t=0.0, blocks=False: noise)
         ok, resid = check_bystander(m)
         assert not ok
         assert resid == pytest.approx(self._reference_residual(m, noise),
@@ -460,7 +539,7 @@ class TestBystanderCheck:
         m = make(np.random.default_rng(32))
         gen = np.array(assemble_generator(m))
         gen[0, 0] = np.nan
-        monkeypatch.setattr(models, "assemble_generator", lambda m, t=0.0: gen)
+        monkeypatch.setattr(models, "assemble_generator", lambda m, t=0.0, blocks=False: gen)
         with pytest.raises(NumericalDriftError):
             check_bystander(m)
 

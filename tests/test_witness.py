@@ -125,9 +125,9 @@ class TestTraceDistanceBound:
         calls = []
         assemble = models.assemble_generator
 
-        def counting(model, t=0.0):
+        def counting(model, t=0.0, blocks=False):
             calls.append(t)
-            return assemble(model, t)
+            return assemble(model, t, blocks)
 
         monkeypatch.setattr(models, "assemble_generator", counting)
         m = random_stochastic_env(np.random.default_rng(3), nc=3)
