@@ -37,7 +37,6 @@ from .qcore import (
     random_density_matrix,
 )
 from .witness import (
-    REVIVAL_TOL,
     MeasurementSpec,
     cpf_correlation,
     cpf_equal_times,
@@ -46,6 +45,7 @@ from .witness import (
     random_measurement,
     random_policy,
     reference_measurements,
+    revival_flags,
     trace_distance_bound,
     trace_distance_series,
 )
@@ -208,9 +208,7 @@ def cmd_fig2(args) -> int:
             raise NumericalDriftError(f"omega/gamma={ratio:g} column deviates "
                                       f"from the closed form by {err:.2e}")
         d = np.abs(4.0 * w - 1.0) / 3.0
-        revival = np.zeros(d.size, dtype=bool)
-        revival[:-1] = np.diff(d) > REVIVAL_TOL
-        return d, revival
+        return d, revival_flags(d)
 
     results = [column(ratio) for ratio in ratios]
     header = ["t"]

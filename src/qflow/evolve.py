@@ -13,6 +13,9 @@ stepping is not: it works in the generator's block form (the four Pauli
 blocks of a depolarizing model), and a run of gaps with one substep count
 shares one assembly of its stage generators, each gap one product of its
 step matrices.
+Every change of basis, into the Hermitian basis (:func:`_hermitian_basis`)
+or the Pauli blocks and back, is a gather applied by
+:func:`~qflow.qcore.gathered`.
 Every stepper has ``step_columns(out, v, t0, times)``, and the two caches
 ``carry_rows(out, rows, taus)`` for readout rows; each writes a series in
 place.  A cache fills a run of gaps that share its key by powers of the
@@ -100,95 +103,66 @@ class TimeGrid:
         return cls(times=times, step=step)
 
 
-class _HermitianBasis:
-    """The unitary change T of flattened operators, ``nblocks`` column-stacked
-    b x b blocks, into the orthonormal Hermitian basis of each block: E_ii,
-    then (E_ij + E_ji)/sqrt(2) and i (E_ij - E_ji)/sqrt(2) for i < j.  A
-    Hermiticity-preserving generator G is real in it, as T G T^dag.
-
-    Every row and column of T holds at most two entries, so T G T^dag and
-    T^dag R T are gathers over index arrays built once per layout: row k of
-    T has the weights ``w[:, k]`` at the flat positions ``src[:, k]``, row a
-    of T^dag the weights ``wd[:, a]`` at the coordinates ``dst[:, a]`` (a
-    diagonal pairs with itself at weight 0)."""
-
-    def __init__(self, nblocks: int, b: int):
-        i, j = np.triu_indices(b, 1)
-        diag = np.arange(b) * (b + 1)
-        upper, lower = i + b * j, j + b * i  # flat positions of X[i, j], X[j, i]
-        sym = np.arange(b, b + i.size)
-        anti = sym + i.size
-        s = np.sqrt(0.5)
-        src = np.empty((2, b * b), dtype=np.intp)
-        w = np.zeros((2, b * b), dtype=complex)
-        src[:, :b], w[0, :b] = diag, 1.0
-        src[:, sym], w[:, sym] = (lower, upper), s
-        src[:, anti], w[:, anti] = (lower, upper), ((1j * s,), (-1j * s,))
-        dst = np.empty((2, b * b), dtype=np.intp)
-        wd = np.zeros((2, b * b), dtype=complex)
-        dst[:, diag], wd[0, diag] = np.arange(b), 1.0
-        dst[:, upper], wd[:, upper] = (sym, anti), ((s,), (1j * s,))
-        dst[:, lower], wd[:, lower] = (sym, anti), ((s,), (-1j * s,))
-        offsets = b * b * np.arange(nblocks)[:, None]
-        self._into = ((src[:, None, :] + offsets).reshape(2, -1),
-                      np.tile(w, nblocks))
-        self._back = ((dst[:, None, :] + offsets).reshape(2, -1),
-                      np.tile(wd, nblocks))
-        for a in self._into + self._back:  # shared by every cache of a layout
-            a.setflags(write=False)
-
-    @staticmethod
-    def _gather(m: np.ndarray, gather, conj: bool = False) -> np.ndarray:
-        """A m for the A whose row k holds the weights ``weight[:, k]`` at
-        the columns ``index[:, k]``, ``gather = (index, weight)``; conj(A) m
-        when ``conj``."""
-        if conj:
-            index, (w0, w1) = gather
-            gather = index, (w0.conj(), w1.conj())
-        return gathered(m, gather)
-
-    @staticmethod
-    def _transform(m: np.ndarray, gather) -> np.ndarray:
-        """A m A^dag for the A of ``gather``."""
-        (i0, i1), (w0, w1) = gather
-        rows = _HermitianBasis._gather(m, gather)
-        return rows[:, i0] * w0.conj() + rows[:, i1] * w1.conj()
-
-    def into(self, g: np.ndarray) -> np.ndarray:
-        """T g T^dag."""
-        return self._transform(g, self._into)
-
-    def back(self, r: np.ndarray) -> np.ndarray:
-        """T^dag r T."""
-        return self._transform(r, self._back)
-
-    def columns_into(self, x: np.ndarray, conj: bool = False) -> np.ndarray:
-        """T x, or conj(T) x when ``conj``."""
-        return self._gather(x, self._into, conj)
-
-    def columns_back(self, y: np.ndarray, conj: bool = False) -> np.ndarray:
-        """T^dag y, or T^T y when ``conj``."""
-        return self._gather(y, self._back, conj)
-
-
 @functools.cache
-def _hermitian_basis(nblocks: int, b: int) -> _HermitianBasis:
-    return _HermitianBasis(nblocks, b)
+def _hermitian_basis(nblocks: int, b: int) -> tuple:
+    """The gathers (:func:`~qflow.qcore.gathered`) of T, conj(T), T^dag and
+    T^T, for the unitary change T of flattened operators, ``nblocks``
+    column-stacked b x b blocks, into the orthonormal Hermitian basis of
+    each block: E_ii, then (E_ij + E_ji)/sqrt(2) and i (E_ij - E_ji)/sqrt(2)
+    for i < j.  A Hermiticity-preserving generator G is real in it, as
+    T G T^dag.  Every row and column of T holds at most two entries: row k
+    of T has the weights ``w[:, k]`` at the flat positions ``src[:, k]``,
+    row a of T^dag the weights ``wd[:, a]`` at the coordinates ``dst[:, a]``
+    (a diagonal pairs with itself at weight 0)."""
+    i, j = np.triu_indices(b, 1)
+    diag = np.arange(b) * (b + 1)
+    upper, lower = i + b * j, j + b * i  # flat positions of X[i, j], X[j, i]
+    sym = np.arange(b, b + i.size)
+    anti = sym + i.size
+    s = np.sqrt(0.5)
+    src = np.empty((2, b * b), dtype=np.intp)
+    w = np.zeros((2, b * b), dtype=complex)
+    src[:, :b], w[0, :b] = diag, 1.0
+    src[:, sym], w[:, sym] = (lower, upper), s
+    src[:, anti], w[:, anti] = (lower, upper), ((1j * s,), (-1j * s,))
+    dst = np.empty((2, b * b), dtype=np.intp)
+    wd = np.zeros((2, b * b), dtype=complex)
+    dst[:, diag], wd[0, diag] = np.arange(b), 1.0
+    dst[:, upper], wd[:, upper] = (sym, anti), ((s,), (1j * s,))
+    dst[:, lower], wd[:, lower] = (sym, anti), ((s,), (-1j * s,))
+    offsets = b * b * np.arange(nblocks)[:, None]
+    gathers = []
+    for index, weight in ((src, w), (src, w.conj()), (dst, wd), (dst, wd.conj())):
+        gather = ((index[:, None, :] + offsets).reshape(2, -1),
+                  np.tile(weight, nblocks))
+        for a in gather:  # shared by every cache of a layout
+            a.setflags(write=False)
+        gathers.append((tuple(gather[0]), tuple(gather[1])))
+    return tuple(gathers)
+
+
+def _conjugated(m: np.ndarray, gather, conj_gather) -> np.ndarray:
+    """A m A^dag for the A of ``gather`` and the conj(A) of ``conj_gather``:
+    A m, then its transpose taken by conj(A), so the result is the
+    transpose of a C-contiguous array."""
+    return gathered(gathered(m, gather).T, conj_gather).T
 
 
 class PropagatorCache:
     """Cached propagators of one time-independent generator, keyed by time
-    gap: its matrix exponential.  Given a Hermitian basis (as
-    :func:`stepping_cache` gives a complex generator), the generator is
-    changed once into that basis, where it is real, exponentiated in real
-    arithmetic and changed back.  A run of gaps whose propagator is not
-    cached may be stepped by the exponential's action instead, in the same
-    basis (:meth:`_taylor_plan`)."""
+    gap: its matrix exponential.  Given the gathers of a Hermitian basis
+    (as :func:`stepping_cache` gives a complex generator, from
+    :func:`_hermitian_basis`), the generator is changed once into that
+    basis, T G T^dag, where it is real, exponentiated in real arithmetic and
+    changed back, T^dag R T.  A run of gaps whose propagator is not cached
+    may be stepped by the exponential's action instead, in the same basis
+    (:meth:`_taylor_plan`)."""
 
     def __init__(self, generator: Optional[np.ndarray],
-                 basis: Optional[_HermitianBasis] = None):
+                 basis: Optional[tuple] = None):
         self._basis = basis
-        self._exponent = generator if basis is None else basis.into(generator).real
+        self._exponent = (generator if basis is None
+                          else _conjugated(generator, *basis[:2]).real)
         self._cache = {}
 
     def at(self, dt: float) -> np.ndarray:
@@ -199,7 +173,11 @@ class PropagatorCache:
 
     def _propagator(self, dt: float) -> np.ndarray:
         p = matrix_exp(_scaled(self._exponent, dt))
-        return p if self._basis is None else self._basis.back(p.real)
+        if self._basis is None:
+            return p
+        # C-contiguous, as every other propagator the products apply; the
+        # exponent needs no copy, since matrix_exp copies its input to C order
+        return np.ascontiguousarray(_conjugated(p.real, *self._basis[2:]))
 
     def step_columns(self, out: np.ndarray, v: np.ndarray, t0: float,
                      times: np.ndarray) -> None:
@@ -270,22 +248,24 @@ class PropagatorCache:
              rows: bool) -> None:
         """run[j] = x taken across j + 1 gaps dt by :func:`_taylor_step`
         with A and mu of :attr:`_shifted`.  Columns are changed into the
-        exponent's basis once, by a one-sided gather, and each gap's result
-        back; readout rows are stepped as the columns of their transpose
-        under A^T, changed by conj(T) and T^T.  A complex block is stepped as
+        exponent's basis once, by T, and each gap's result back by T^dag;
+        readout rows are stepped as the columns of their transpose under
+        A^T, changed by conj(T) and T^T.  A complex block is stepped as
         float pairs when A is real, so each term is one real product."""
         a, mu, _ = self._shifted
         d = len(a)
         if rows:
             a, x = a.T, x.reshape(-1, d).T
-        basis = self._basis
-        y = (np.array(x, dtype=complex, order="C") if basis is None
-             else basis.columns_into(x, conj=rows))
+        if self._basis is None:
+            y = np.array(x, dtype=complex, order="C")
+        else:  # (T, T^dag) for columns, (conj(T), T^T) for rows
+            into, back = self._basis[rows::2]
+            y = gathered(x, into)
         real = np.isrealobj(a)
         for entry in run:
             y = _taylor_step(a, mu, y.view(float) if real else y, dt, *plan)
             y = y.view(complex) if real else y
-            cols = y if basis is None else basis.columns_back(y, conj=rows)
+            cols = y if self._basis is None else gathered(y, back)
             entry[...] = cols.T.reshape(entry.shape) if rows else cols
 
     @staticmethod

@@ -763,14 +763,11 @@ def born_markov_model(system_generator: np.ndarray,
 # randomized instances for property suites (seeded, reproducible)
 # ---------------------------------------------------------------------------
 
-def random_lindblad_generator(rng: np.random.Generator, dim: int,
-                              n_jumps: int = 1) -> np.ndarray:
-    jumps = [
-        (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
-         float(rng.uniform()))
-        for _ in range(n_jumps)
-    ]
-    return lindblad_superoperator(random_hermitian(rng, dim), jumps)
+def random_lindblad_generator(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random Hamiltonian with one random jump operator at a random rate."""
+    jump = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
+            float(rng.uniform()))
+    return lindblad_superoperator(random_hermitian(rng, dim), [jump])
 
 
 def random_cptp_kraus(rng: np.random.Generator, dim: int, n_ops: int = 2):
@@ -843,31 +840,31 @@ def random_unitary_model(rng: np.random.Generator, ds: int = 2,
 # named presets
 # ---------------------------------------------------------------------------
 
-def exchange_preset(coupling: float = 1.0, splitting: float = 0.5) -> UnitaryModel:
-    """Resonant qubit pair exchanging excitations, mixed environment start."""
+def exchange_preset() -> UnitaryModel:
+    """Resonant qubit pair (splitting 0.5) exchanging excitations at unit
+    coupling, mixed environment start."""
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     sp = dag(sm)
-    hi = coupling * (kron(sp, sm) + kron(sm, sp))
+    hi = kron(sp, sm) + kron(sm, sp)
     sz = PAULI_OPS[2]
     return UnitaryModel(
-        hs=splitting * sz,
-        he=splitting * sz,
+        hs=0.5 * sz,
+        he=0.5 * sz,
         hi=hi,
         env0=np.diag([0.75, 0.25]).astype(complex),
     )
 
 
-def commuting_interaction_preset(coupling: float = 1.0,
-                                 field: float = 0.7,
-                                 env_freq: float = 0.5) -> UnitaryModel:
-    """Dephasing-coupled pair whose environment Hamiltonian commutes with
-    the interaction; a transverse system field keeps the dynamics rich."""
+def commuting_interaction_preset() -> UnitaryModel:
+    """Dephasing-coupled pair (unit coupling) whose environment Hamiltonian
+    (frequency 0.5) commutes with the interaction; a transverse system field
+    (0.7) keeps the dynamics rich."""
     sx = PAULI_OPS[0]
     sz = PAULI_OPS[2]
     return UnitaryModel(
-        hs=field * sx,
-        he=env_freq * sz,
-        hi=coupling * kron(sz, sz),
+        hs=0.7 * sx,
+        he=0.5 * sz,
+        hi=kron(sz, sz),
         env0=np.diag([0.75, 0.25]).astype(complex),
     )
 

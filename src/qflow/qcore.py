@@ -280,13 +280,11 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return x.astype(complex)
 
 
-def conjugation_superop(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Superoperator of X -> A X B^dag; B defaults to A.  This is
-    ``np.kron(b.conj(), a)``, entry for entry, as one broadcast product."""
-    if b is None:
-        b = a
-    (m, n), (p, q) = b.shape, a.shape
-    return (b.conj()[:, None, :, None] * a[None, :, None, :]).reshape(m * p, n * q)
+def conjugation_superop(a: np.ndarray) -> np.ndarray:
+    """Superoperator of X -> A X A^dag.  This is ``np.kron(a.conj(), a)``,
+    entry for entry, as one broadcast product."""
+    m, n = a.shape
+    return (a.conj()[:, None, :, None] * a[None, :, None, :]).reshape(m * m, n * n)
 
 
 def kraus_superoperator(kraus) -> np.ndarray:

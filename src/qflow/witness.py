@@ -222,21 +222,26 @@ def _bound_terms(model, r, s) -> np.ndarray:
                      models.bipartite_trace_distance(model, s, prod_s)])
 
 
-def trace_distance_series(model, rho0s, sigma0s, env0=None,
-                          grid: TimeGrid = None,
-                          with_bound_terms: bool = False,
-                          stepper: str = "auto") -> TdTrace:
+def revival_flags(values: np.ndarray) -> np.ndarray:
+    """Flags of a trace-distance series: a time is a revival when the next
+    value rises by more than 1e-6; the last time never is."""
+    revivals = np.zeros(values.size, dtype=bool)
+    revivals[:-1] = np.diff(values) > REVIVAL_TOL
+    return revivals
+
+
+def trace_distance_series(model, rho0s, sigma0s, env0=None, *,
+                          grid: TimeGrid,
+                          with_bound_terms: bool = False) -> TdTrace:
     """Distinguishability of two system preparations over a time grid.
 
     Both preparations share the initial environment ``env0`` (the model
-    default when omitted) and are propagated together as one pair.  A time
-    is flagged as a revival when the next value rises by more than 1e-6.
+    default when omitted) and are propagated together as one pair.  Its
+    revivals are flagged by :func:`revival_flags`.
     """
-    if grid is None:
-        raise InvariantViolation("a TimeGrid is required")
     pair = np.array([models.initial_state(model, rho0s, env0),
                      models.initial_state(model, sigma0s, env0)])
-    series = propagate(model, pair, grid, stepper=stepper)
+    series = propagate(model, pair, grid)
     series_r, series_s = series[:, 0], series[:, 1]
     if with_bound_terms:
         values, env_terms, corr_r, corr_s = _bound_terms(model, series_r, series_s)
@@ -244,9 +249,8 @@ def trace_distance_series(model, rho0s, sigma0s, env0=None,
         values = trace_distance(models.sys_marginal(model, series_r),
                                 models.sys_marginal(model, series_s))
         env_terms = corr_r = corr_s = None
-    revivals = np.zeros(values.size, dtype=bool)
-    revivals[:-1] = np.diff(values) > REVIVAL_TOL
-    return TdTrace(times=np.array(grid.times), values=values, revivals=revivals,
+    return TdTrace(times=np.array(grid.times), values=values,
+                   revivals=revival_flags(values),
                    env_terms=env_terms, corr_rho=corr_r, corr_sigma=corr_s)
 
 

@@ -35,6 +35,7 @@ from qflow.qcore import (
     InvariantViolation,
     NumericalDriftError,
     PAULI_OPS,
+    gathered,
     matrix_exp,
     random_density_matrix,
 )
@@ -493,6 +494,53 @@ def _ring(nc, real=False):
                       for _ in range(nc))
     return models.StochasticEnvModel(lindblads=lindblads, jumps=jumps,
                                      populations0=np.full(nc, 1.0 / nc))
+
+
+class TestHermitianBasis:
+    """The gathers of ``_hermitian_basis`` as dense matrices: T, conj(T),
+    T^dag and T^T, in a stacked layout (nc blocks of ds x ds) and a full one
+    (one N x N block)."""
+
+    LAYOUTS = pytest.mark.parametrize("make", [
+        pytest.param(lambda rng: random_stochastic_env(rng, nc=3), id="stacked"),
+        pytest.param(lambda rng: random_quantum_bystander(rng, de=3), id="full"),
+    ])
+
+    @staticmethod
+    def layout(m):
+        ds, de = models.dims(m)
+        return (de, ds) if models.uses_stacked(m) else (1, ds * de)
+
+    @LAYOUTS
+    def test_gathers_are_t_and_its_conjugates(self, make):
+        m = make(np.random.default_rng(40))
+        nblocks, b = self.layout(m)
+        assert nblocks == (3 if models.uses_stacked(m) else 1)
+        eye = np.eye(nblocks * b * b)
+        t, conj, dag, tr = (gathered(eye, g)
+                            for g in evolve._hermitian_basis(nblocks, b))
+        assert np.abs(t @ t.conj().T - eye).max() <= 1e-15
+        assert np.array_equal(conj, t.conj())
+        assert np.array_equal(dag, t.conj().T)
+        assert np.array_equal(tr, t.T)
+
+    @LAYOUTS
+    def test_generator_is_real_in_the_basis(self, make):
+        m = make(np.random.default_rng(41))
+        gen = models.assemble_generator(m)
+        assert gen.imag.any()
+        basis = evolve._hermitian_basis(*self.layout(m))
+        t = gathered(np.eye(len(gen)), basis[0])
+        dense = t @ gen @ t.conj().T
+        scale = np.abs(gen).max()
+        assert np.abs(dense.imag).max() <= 1e-14 * scale
+        changed = evolve._conjugated(gen, *basis[:2])
+        assert np.abs(changed - dense).max() <= 1e-14 * scale
+        back = evolve._conjugated(changed.real, *basis[2:])
+        assert np.abs(back - gen).max() <= 1e-14 * scale
+        cache = PropagatorCache(gen, basis)
+        assert np.array_equal(cache._exponent, changed.real)
+        assert cache.at(0.3).flags.c_contiguous
 
 
 class TestTaylorAction:
