@@ -11,19 +11,24 @@ their defaults, and ``td``, ``bound`` and ``cpf --scheme d|r`` at their
 defaults on two sine-modulated depolarizing model files, one undriven
 (stacked) and one driven (full), the CLI's RK4 runs.  Each CLI run is stored
 as its exit code, standard output and standard error; each library result as
-the arrays of its fields.  Model files are written under a relative
+the arrays of its fields.  It also stores the ``save_model`` text of one
+instance of each of the five model classes drawn at ``--seed``, and the text
+after one load and re-save.  Model files are written under a relative
 directory of a fresh temporary working directory, so CSV headers that echo
 their paths agree between checkouts.
 
-``compare`` prints one line per entry that differs: text (CLI bytes) must be
-equal, arrays equal by ``np.array_equal`` (NaN equal to NaN, same shape);
-arrays that are not get their largest absolute and relative deviation, and
-so does text that differs only in its numbers.  It exits 0 when every entry
-is identical and 1 otherwise.
+``compare`` prints one line per entry that differs: text (CLI bytes, model
+files) must be equal, arrays equal by ``np.array_equal`` (NaN equal to NaN,
+same shape); arrays that are not get their largest absolute and relative
+deviation, and so does text that differs only in its numbers.  A model file
+that differs is followed by a unified diff of its two texts, so a change of
+the file format reads as one.  It exits 0 when every entry is identical and
+1 otherwise.
 """
 
 import argparse
 import dataclasses
+import difflib
 import os
 import re
 import sys
@@ -57,6 +62,27 @@ def _entries(name, out):
     return {name: np.asarray(out)}
 
 
+def _model_file_texts(models, seed: int) -> dict:
+    """``save_model`` text of one seeded instance of each model class, and
+    its text after one load and re-save."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    path = Path("models") / "saved.json"
+    for model in (models.random_classical_mixture(rng),
+                  models.random_stochastic_env(rng),
+                  models.random_quantum_bystander(rng),
+                  models.random_unitary_model(rng),
+                  models.DepolarizingModel(
+                      gamma=1.0, phi=0.7, omega=1.5,
+                      modulation=models.sine_modulation(0.4, 0.9))):
+        name = f"model/{type(model).__name__}"
+        models.save_model(model, path)
+        entries[f"{name}/saved"] = np.array(path.read_text(encoding="utf-8"))
+        models.save_model(models.load_model(path), path)
+        entries[f"{name}/resaved"] = np.array(path.read_text(encoding="utf-8"))
+    return entries
+
+
 def dump(root: Path, seed: int, out: Path) -> None:
     sys.path[:0] = [str(root / "src"), str(root)]
     from perfbench import workloads
@@ -81,6 +107,7 @@ def dump(root: Path, seed: int, out: Path) -> None:
                     modulation=models.sine_modulation(0.4, 0.9)), path)
                 runs += [argv + ["--model", str(path)]
                          for argv in MODULATED_COMMANDS]
+            entries.update(_model_file_texts(models, seed))
             for argv in runs:
                 run = workloads._cli_call(argv)()
                 entries.update(_entries("cli/" + " ".join(argv), run))
@@ -118,6 +145,10 @@ def compare(path_a: Path, path_b: Path) -> int:
         elif not np.array_equal(a[key], b[key],
                                 equal_nan=a[key].dtype.kind in "fc"):
             print(f"{key}: {_deviation(a[key], b[key])}")
+            if key.startswith("model/"):
+                sys.stdout.writelines(difflib.unified_diff(
+                    str(a[key]).splitlines(True), str(b[key]).splitlines(True),
+                    str(path_a), str(path_b)))
             differ += 1
     total = len(set(a.files) | set(b.files))
     print(f"{total - differ} of {total} entries identical")

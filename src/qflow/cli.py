@@ -130,8 +130,8 @@ def _preset_pair(ds: int):
 
 
 def _preset_measurements(ds: int):
-    if ds == 2:
-        return reference_measurements()
+    """The uniform superposition, and the computational basis with outcomes
+    ds-1, ds-3, ..., 1-ds; at ds = 2 that is ``reference_measurements()``."""
     vecs = np.eye(ds, dtype=complex)
     spec = MeasurementSpec(vectors=vecs, outcomes=ds - 1 - 2 * np.arange(ds))
     ket = np.ones(ds, dtype=complex) / np.sqrt(ds)

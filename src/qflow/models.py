@@ -887,68 +887,11 @@ def _matrix_from_json(data) -> np.ndarray:
         return arr[..., 0] + 1j * arr[..., 1]
 
 
-def model_to_dict(model: BipartiteModel) -> dict:
-    doc = {"format": MODEL_FORMAT, "ds": model.ds, "de_or_nc": model.env_dim}
-    # ahead of the stochastic environment, of which a mixture is a subclass
-    if isinstance(model, ClassicalMixtureModel):
-        doc["class"] = "classical_mixture"
-        doc["parameters"] = {
-            "generators": [_matrix_to_json(g) for g in model.lindblads],
-        }
-        doc["initial_env"] = [float(w) for w in model.weights]
-    elif isinstance(model, StochasticEnvModel):
-        doc["class"] = "stochastic_env"
-        doc["parameters"] = {
-            "generators": [_matrix_to_json(g) for g in model.lindblads],
-            "jumps": [
-                {
-                    "src": j.src,
-                    "dst": j.dst,
-                    "rate": j.rate,
-                    "kraus": [_matrix_to_json(k) for k in j.kraus],
-                }
-                for j in model.jumps
-            ],
-        }
-        doc["initial_env"] = [float(p) for p in model.populations0]
-    elif isinstance(model, QuantumBystanderModel):
-        doc["class"] = "quantum_bystander"
-        doc["parameters"] = {
-            "system_generator": _matrix_to_json(model.ls),
-            "env_generator": _matrix_to_json(model.le),
-            "collisions": [
-                {
-                    "op": _matrix_to_json(c.op),
-                    "rate": c.rate,
-                    "kraus": [_matrix_to_json(k) for k in c.kraus],
-                }
-                for c in model.collisions
-            ],
-        }
-        doc["initial_env"] = _matrix_to_json(model.env0)
-    elif isinstance(model, UnitaryModel):
-        doc["class"] = "unitary"
-        doc["parameters"] = {
-            "h_system": _matrix_to_json(model.hs),
-            "h_env": _matrix_to_json(model.he),
-            "h_interaction": _matrix_to_json(model.hi),
-        }
-        doc["initial_env"] = _matrix_to_json(model.env0)
-    elif isinstance(model, DepolarizingModel):
-        doc["class"] = "depolarizing"
-        params = {"gamma": model.gamma, "phi": model.phi, "omega": model.omega}
-        if model.modulation is not None:
-            spec = getattr(model.modulation, "json_spec", None)
-            if spec is None:
-                raise InvariantViolation(
-                    "only sine_modulation(...) callables are serializable"
-                )
-            params["modulation"] = spec
-        doc["parameters"] = params
-        doc["initial_env"] = [float(p) for p in model.populations0]
-    else:
-        raise InvariantViolation(f"unknown model type {type(model).__name__}")
-    return doc
+def _label_from_json(x) -> int:
+    # type, not isinstance: true and false are ints too
+    if type(x) not in (int, float) or not float(x).is_integer():
+        raise InvariantViolation(f"jump labels must be integers, got {x!r}")
+    return int(x)
 
 
 def sine_modulation(amplitude: float, frequency: float):
@@ -964,6 +907,93 @@ def sine_modulation(amplitude: float, frequency: float):
 
     b.json_spec = {"type": "sine", "amplitude": amplitude, "frequency": frequency}
     return b
+
+
+def _modulation_to_json(b) -> dict:
+    if getattr(b, "json_spec", None) is None:
+        raise InvariantViolation("only sine_modulation(...) callables are "
+                                 "serializable")
+    return b.json_spec
+
+
+def _modulation_from_json(spec):
+    if spec is None:
+        return None
+    if spec.get("type") != "sine":
+        raise InvariantViolation(f"unknown modulation type {spec.get('type')!r}")
+    return sine_modulation(float(spec["amplitude"]), float(spec["frequency"]))
+
+
+# A field is (argument, key, (write, read)), plus the value taken when the key
+# is absent if it may be; the argument also names the attribute that holds it,
+# and a value of None is not written.
+_NUMBER = (lambda x: x, float)
+_LABEL = (int, _label_from_json)
+_MATRIX = (_matrix_to_json, _matrix_from_json)
+_MATRICES = (lambda ms: [_matrix_to_json(m) for m in ms],
+             lambda data: tuple(_matrix_from_json(m) for m in data))
+_POPULATIONS = (lambda p: [float(x) for x in p],
+                lambda data: np.asarray(data, dtype=float))
+_MODULATION = (_modulation_to_json, _modulation_from_json)
+
+
+def _encode(obj, fields) -> dict:
+    return {key: write(value) for arg, key, (write, _), *_ in fields
+            if (value := getattr(obj, arg)) is not None}
+
+
+def _decode(data, fields) -> dict:
+    return {arg: read(data[key]) if key in data or not absent else absent[0]
+            for arg, key, (_, read), *absent in fields}
+
+
+def _records(cls, *fields):
+    """Codec of a list of ``cls`` records, each an object of (name, codec)."""
+    fields = tuple((name, name, codec) for name, codec in fields)
+    return (lambda items: [_encode(item, fields) for item in items],
+            lambda data: tuple(cls(**_decode(item, fields)) for item in data))
+
+
+_JUMPS = _records(EnvJump, ("src", _LABEL), ("dst", _LABEL), ("rate", _NUMBER),
+                  ("kraus", _MATRICES))
+_COLLISIONS = _records(Collision, ("op", _MATRIX), ("rate", _NUMBER),
+                       ("kraus", _MATRICES))
+
+# One row per model class, a subclass ahead of its base: the class, its
+# "class" string and its fields.  The key "initial_env" sits at the top level,
+# after "parameters", which holds the other keys.
+_MODEL_FILE = (
+    (ClassicalMixtureModel, "classical_mixture", (
+        ("lindblads", "generators", _MATRICES),
+        ("weights", "initial_env", _POPULATIONS))),
+    (StochasticEnvModel, "stochastic_env", (
+        ("lindblads", "generators", _MATRICES), ("jumps", "jumps", _JUMPS, ()),
+        ("populations0", "initial_env", _POPULATIONS))),
+    (QuantumBystanderModel, "quantum_bystander", (
+        ("ls", "system_generator", _MATRIX), ("le", "env_generator", _MATRIX),
+        ("collisions", "collisions", _COLLISIONS, ()),
+        ("env0", "initial_env", _MATRIX))),
+    (UnitaryModel, "unitary", (
+        ("hs", "h_system", _MATRIX), ("he", "h_env", _MATRIX),
+        ("hi", "h_interaction", _MATRIX), ("env0", "initial_env", _MATRIX))),
+    (DepolarizingModel, "depolarizing", (
+        ("gamma", "gamma", _NUMBER), ("phi", "phi", _NUMBER),
+        ("omega", "omega", _NUMBER, 0.0),
+        ("modulation", "modulation", _MODULATION, None),
+        ("populations0", "initial_env", _POPULATIONS))),
+)
+
+
+def model_to_dict(model: BipartiteModel) -> dict:
+    for cls, name, fields in _MODEL_FILE:
+        if isinstance(model, cls):
+            break
+    else:
+        raise InvariantViolation(f"unknown model type {type(model).__name__}")
+    params = _encode(model, fields)
+    env = params.pop("initial_env")
+    return {"format": MODEL_FORMAT, "ds": model.ds, "de_or_nc": model.env_dim,
+            "class": name, "parameters": params, "initial_env": env}
 
 
 def model_from_dict(doc: dict) -> BipartiteModel:
@@ -987,68 +1017,26 @@ def model_from_dict(doc: dict) -> BipartiteModel:
 
 
 def _model_from_document(doc: dict) -> BipartiteModel:
-    cls = doc.get("class")
-    params = doc.get("parameters", {})
-    env = doc.get("initial_env")
-    if cls == "classical_mixture":
-        return ClassicalMixtureModel(
-            lindblads=tuple(_matrix_from_json(g) for g in params["generators"]),
-            weights=np.asarray(env, dtype=float),
-        )
-    if cls == "stochastic_env":
-        jumps = tuple(
-            EnvJump(src=int(j["src"]), dst=int(j["dst"]), rate=float(j["rate"]),
-                    kraus=tuple(_matrix_from_json(k) for k in j["kraus"]))
-            for j in params.get("jumps", [])
-        )
-        return StochasticEnvModel(
-            lindblads=tuple(_matrix_from_json(g) for g in params["generators"]),
-            jumps=jumps,
-            populations0=np.asarray(env, dtype=float),
-        )
-    if cls == "quantum_bystander":
-        collisions = tuple(
-            Collision(op=_matrix_from_json(c["op"]), rate=float(c["rate"]),
-                      kraus=tuple(_matrix_from_json(k) for k in c["kraus"]))
-            for c in params.get("collisions", [])
-        )
-        return QuantumBystanderModel(
-            ls=_matrix_from_json(params["system_generator"]),
-            le=_matrix_from_json(params["env_generator"]),
-            collisions=collisions,
-            env0=_matrix_from_json(env),
-        )
-    if cls == "unitary":
-        return UnitaryModel(
-            hs=_matrix_from_json(params["h_system"]),
-            he=_matrix_from_json(params["h_env"]),
-            hi=_matrix_from_json(params["h_interaction"]),
-            env0=_matrix_from_json(env),
-        )
-    if cls == "depolarizing":
-        modulation = None
-        mod_spec = params.get("modulation")
-        if mod_spec is not None:
-            if mod_spec.get("type") != "sine":
-                raise InvariantViolation(
-                    f"unknown modulation type {mod_spec.get('type')!r}"
-                )
-            modulation = sine_modulation(float(mod_spec["amplitude"]),
-                                         float(mod_spec["frequency"]))
-        return DepolarizingModel(
-            gamma=float(params["gamma"]),
-            phi=float(params["phi"]),
-            populations0=np.asarray(env, dtype=float),
-            omega=float(params.get("omega", 0.0)),
-            modulation=modulation,
-        )
-    raise InvariantViolation(f"unknown model class {cls!r}")
+    for cls, name, fields in _MODEL_FILE:
+        if doc.get("class") == name:
+            break
+    else:
+        raise InvariantViolation(f"unknown model class {doc.get('class')!r}")
+    data = {**doc.get("parameters", {}), "initial_env": doc["initial_env"]}
+    model = cls(**_decode(data, fields))
+    # the header is optional, but when present it must describe the model
+    for key, value in (("ds", model.ds), ("de_or_nc", model.env_dim)):
+        if key in doc and (doc[key] != value or isinstance(doc[key], bool)):
+            raise InvariantViolation(f"header {key}={doc[key]!r} does not match "
+                                     f"the model's {key}={value}")
+    return model
 
 
 def save_model(model: BipartiteModel, path) -> None:
+    # the text is built first, so a document that fails leaves no file
+    text = json.dumps(model_to_dict(model), indent=1) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path) -> BipartiteModel:

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import event, given, settings, strategies as st
 import qflow
 from qflow import cli, models
 from qflow.cli import main
-from qflow.witness import cpf_equal_times
+from qflow.witness import cpf_equal_times, revival_flags
 
 
 def run(argv):
@@ -98,6 +99,59 @@ class TestFigureCommands:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1
         assert "phi/gamma=1 column" in captured.err
+        assert not out.exists()
+
+    def test_fig1a_closed_form_breach(self, tmp_path, monkeypatch, capsys):
+        series = cli.trace_distance_series
+
+        def perturbed(model, *args, **kwargs):
+            res = series(model, *args, **kwargs)
+            bump = 1e-7 if model.phi == 2.0 else 0.0
+            return dataclasses.replace(res, values=res.values + bump)
+
+        monkeypatch.setattr(cli, "trace_distance_series", perturbed)
+        out = tmp_path / "fig1a.csv"
+        argv = ["fig1a", "--tmax", "2", "--phi-over-gamma", "0.5,1,2",
+                "--out", str(out)]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert "closed form" in captured.err and "phi/gamma=2" in captured.err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "trace_distance_series", series)
+        assert run(argv) == 0
+
+    def test_fig1a_unexpected_revival(self, tmp_path, monkeypatch, capsys):
+        # a rise that the closed form shares passes its check, but a static
+        # rate pair must not revive
+        factor, series = cli.trace_distance_factor, cli.trace_distance_series
+
+        def risen(values):
+            values = values.copy()
+            values[5] = values[4] + 1e-5
+            return values
+
+        def perturbed_factor(gamma, phi, t):
+            d = factor(gamma, phi, t)
+            return risen(d) if phi == 2.0 else d
+
+        def perturbed_series(model, *args, **kwargs):
+            res = series(model, *args, **kwargs)
+            if model.phi != 2.0:
+                return res
+            values = risen(res.values)
+            return dataclasses.replace(res, values=values,
+                                       revivals=revival_flags(values))
+
+        monkeypatch.setattr(cli, "trace_distance_factor", perturbed_factor)
+        monkeypatch.setattr(cli, "trace_distance_series", perturbed_series)
+        out = tmp_path / "fig1a.csv"
+        assert run(["fig1a", "--tmax", "2", "--phi-over-gamma", "0.5,1,2",
+                    "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert "unexpected revival" in captured.err
+        assert "phi/gamma=2" in captured.err
         assert not out.exists()
 
     def test_fig2_closed_form_breach(self, tmp_path, monkeypatch, capsys):
@@ -222,6 +276,26 @@ class TestSweepCommands:
         out = tmp_path / "td.csv"
         assert run(["td", "--model", str(path), "--tmax", "2",
                     "--step", "0.05", "--out", str(out)]) == 0
+        _, _, data = read_csv(out)
+        assert data[0, 1] == pytest.approx(1.0)
+
+    def test_three_level_model_file(self, tmp_path):
+        # ds = 3: the plus state and the z basis of the qubit generalize to
+        # the uniform superposition and outcomes 2, 0, -2
+        path = tmp_path / "model.json"
+        models.save_model(models.random_stochastic_env(np.random.default_rng(7),
+                                                       ds=3), path)
+        grid = ["--tmax", "1", "--step", "0.5", "--model", str(path)]
+        cpf = {}
+        for scheme in ("d", "r"):
+            out = tmp_path / f"cpf-{scheme}.csv"
+            assert run(["cpf", "--scheme", scheme, *grid, "--out", str(out)]) == 0
+            _, header, cpf[scheme] = read_csv(out)
+            assert header == ["t", "tau", "cpf(y=2)", "cpf(y=0)", "cpf(y=-2)"]
+        assert np.abs(cpf["d"][:, 2:]).max() > 1e-6
+        assert np.abs(cpf["r"][:, 2:]).max() < 1e-10  # a classical bystander
+        out = tmp_path / "td.csv"
+        assert run(["td", *grid, "--out", str(out)]) == 0
         _, _, data = read_csv(out)
         assert data[0, 1] == pytest.approx(1.0)
 
@@ -351,6 +425,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "'h_system'" in err
+
+    @pytest.mark.parametrize("label", [0.9, True, 2.7])
+    def test_non_integer_jump_labels_are_config_errors(self, label, tmp_path,
+                                                       capsys):
+        # 0.9, true and 2.7 would truncate to the labels 0, 1 and 2
+        doc = models.model_to_dict(models.random_stochastic_env(
+            np.random.default_rng(5), nc=4))
+        jump = next(j for j in doc["parameters"]["jumps"] if j["dst"] == 3)
+        jump["src"] = label
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["td", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"jump labels must be integers, got {label!r}" in err
+
+    @pytest.mark.parametrize("header, named", [
+        ({"ds": 7, "de_or_nc": 99}, "header ds=7 does not match the model's ds=2"),
+        ({"de_or_nc": 99}, "header de_or_nc=99 does not match the model's "
+                           "de_or_nc=3"),
+        ({}, None),
+    ], ids=["both", "de_or_nc", "absent"])
+    def test_model_header_must_match_the_model(self, header, named, tmp_path,
+                                               capsys):
+        doc = models.model_to_dict(models.random_stochastic_env(
+            np.random.default_rng(5), nc=3))
+        del doc["ds"], doc["de_or_nc"]  # a document without a header loads
+        doc.update(header)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["check-bystander", "--model", str(path)])
+        err = capsys.readouterr().err
+        if named is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2
+            assert len(err.splitlines()) == 1 and named in err
 
     @staticmethod
     def _assert_config_error(code, capsys):
@@ -796,6 +907,21 @@ class TestParserReuse:
             "cli/td/err: text differs",
             "w/op/moved: max abs 8.882e-16, max rel 4.441e-16",
             "2 of 4 entries identical"]
+
+    def test_compare_outputs_diffs_model_files(self, tmp_path):
+        # a changed model file is followed by a diff of its two texts
+        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        np.savez(a, **{"model/M/saved": np.array('{\n "ds": 2,\n "x": 1\n}\n')})
+        np.savez(b, **{"model/M/saved": np.array('{\n "ds": 2,\n "y": 1\n}\n')})
+        proc = subprocess.run([sys.executable, str(REPO / "scripts" / "compare_outputs.py"),
+                               "compare", str(a), str(b)], capture_output=True,
+                              text=True, env=FRESH_ENV)
+        assert proc.returncode == 1
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "model/M/saved: text differs"
+        assert lines[1:3] == [f"--- {a}", f"+++ {b}"]
+        assert [ln for ln in lines[3:] if ln[:1] in "-+"] == ['- "x": 1', '+ "y": 1']
+        assert lines[-1] == "0 of 1 entries identical"
 
 
 def _reference_cell(x) -> str:

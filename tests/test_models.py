@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -684,6 +685,45 @@ class TestModelFiles:
         models.save_model(m, path)
         m2 = models.load_model(path)
         assert np.abs(m2.hi - m.hi).max() == 0.0
+
+    def test_labels_save_as_integers(self, tmp_path):
+        # numpy integer labels save as JSON integers, and a label of
+        # integral float value loads as an int
+        m = random_stochastic_env(np.random.default_rng(3), nc=3)
+        jumps = tuple(EnvJump(src=np.int64(j.src), dst=np.int32(j.dst),
+                              rate=j.rate, kraus=j.kraus) for j in m.jumps)
+        path = tmp_path / "model.json"
+        models.save_model(StochasticEnvModel(lindblads=m.lindblads, jumps=jumps,
+                                             populations0=m.populations0), path)
+        doc = model_to_dict(m)
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=1) + "\n"
+        doc["parameters"]["jumps"][0]["dst"] = float(doc["parameters"]["jumps"][0]["dst"])
+        back = model_from_dict(doc)
+        assert type(back.jumps[0].dst) is int
+        assert model_to_dict(back) == model_to_dict(m)
+
+    def test_failed_save_leaves_the_file_alone(self, tmp_path):
+        # a rate JSON cannot spell fails before the file is opened
+        m = random_stochastic_env(np.random.default_rng(3), nc=2)
+        j = m.jumps[0]
+        jumps = (EnvJump(src=j.src, dst=j.dst, rate=np.float32(0.5),
+                         kraus=j.kraus),) + m.jumps[1:]
+        path = tmp_path / "model.json"
+        path.write_text("previous\n", encoding="utf-8")
+        with pytest.raises(TypeError):
+            models.save_model(StochasticEnvModel(lindblads=m.lindblads, jumps=jumps,
+                                                 populations0=m.populations0), path)
+        assert path.read_text(encoding="utf-8") == "previous\n"
+
+    @pytest.mark.parametrize("header", [{"de_or_nc": True}, {"ds": "2"}])
+    def test_header_must_hold_the_model_dimensions(self, header):
+        # a one-label mixture, so that true would equal its count
+        g = random_lindblad_generator(np.random.default_rng(3), 2)
+        doc = model_to_dict(ClassicalMixtureModel(lindblads=(g,), weights=[1.0]))
+        assert model_from_dict(doc).env_dim == 1
+        doc.update(header)
+        with pytest.raises(InvariantViolation, match="does not match"):
+            model_from_dict(doc)
 
     def test_bad_format_rejected(self):
         with pytest.raises(InvariantViolation):
