@@ -7,13 +7,15 @@
 ``dump`` imports qflow and ``perfbench.workloads`` from the checkout at
 ``--root`` (the one holding this script by default) and runs every operation
 of the four benchmark workloads at ``--seed`` once, plus the CLI commands at
-their defaults, and ``td``, ``bound`` and ``cpf --scheme d|r`` at their
-defaults on two sine-modulated depolarizing model files, one undriven
-(stacked) and one driven (full), the CLI's RK4 runs.  Each CLI run is stored
-as its exit code, standard output and standard error; each library result as
-the arrays of its fields.  It also stores the ``save_model`` text of one
-instance of each of the five model classes drawn at ``--seed``, and the text
-after one load and re-save.  Model files are written under a relative
+their defaults and the three figure commands once more at other ratios and
+grids.  On two sine-modulated depolarizing model files, one undriven
+(stacked) and one driven (full), it runs the CLI's RK4 paths: ``td``,
+``bound`` and ``cpf --scheme d|r`` at their defaults, and ``td`` and
+``bound`` at ``--step 0.5``, which integrate at a substep below the output
+step.  Each CLI run is stored as its exit code, standard output and
+standard error; each library result as the arrays of its fields.  It also
+stores the ``save_model`` text of one instance of each of the five model
+classes drawn at ``--seed``, and the text after one load and re-save.  Model files are written under a relative
 directory of a fresh temporary working directory, so CSV headers that echo
 their paths agree between checkouts.
 
@@ -37,15 +39,20 @@ from pathlib import Path
 
 import numpy as np
 
-CLI_DEFAULTS = (["fig1a"], ["fig1b"], ["fig2"], ["td"], ["bound"],
-                ["cpf", "--scheme", "d"], ["cpf", "--scheme", "r"],
-                ["check-bystander"], ["validate"])
+CLI_RUNS = (["fig1a"], ["fig1b"], ["fig2"], ["td"], ["bound"],
+            ["cpf", "--scheme", "d"], ["cpf", "--scheme", "r"],
+            ["check-bystander"], ["validate"],
+            ["fig1a", "--phi-over-gamma", "0.5,2", "--tmax", "2"],
+            ["fig1b", "--phi-over-gamma", "1,3", "--tmax", "1.5",
+             "--step", "0.05"],
+            ["fig2", "--omega-over-gamma", "0.7,3", "--tmax", "3"])
 
 # sine-modulated depolarizing model files by drive frequency, and the
-# commands run on each at their defaults
+# commands run on each
 MODULATED_FILES = {"modulated.json": 0.0, "modulated-driven.json": 1.5}
 MODULATED_COMMANDS = (["td"], ["bound"], ["cpf", "--scheme", "d"],
-                      ["cpf", "--scheme", "r"])
+                      ["cpf", "--scheme", "r"], ["td", "--step", "0.5"],
+                      ["bound", "--step", "0.5"])
 
 # a number as the CLI writes it, in CSV fields and header comments
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
@@ -98,7 +105,7 @@ def dump(root: Path, seed: int, out: Path) -> None:
                 workdir.mkdir()
                 for op in make(seed, workdir):
                     entries.update(_entries(f"{wname}/{op.name}", op.call()))
-            runs = list(CLI_DEFAULTS)
+            runs = list(CLI_RUNS)
             Path("models").mkdir()
             for name, omega in MODULATED_FILES.items():
                 path = Path("models") / name
@@ -158,7 +165,7 @@ def compare(path_a: Path, path_b: Path) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("dump", help="run the workloads and CLI defaults")
+    p = sub.add_parser("dump", help="run the workloads and CLI commands")
     p.add_argument("--root", type=Path,
                    default=Path(__file__).resolve().parents[1])
     p.add_argument("--seed", type=int, default=7)

@@ -124,9 +124,7 @@ def _driven_p4(omega, t):
 
 
 def _preset_pair(ds: int):
-    up = projector(basis_ket(ds, 0))
-    down = projector(basis_ket(ds, 1))
-    return up, down
+    return projector(basis_ket(ds, 0)), projector(basis_ket(ds, 1))
 
 
 def _preset_measurements(ds: int):
@@ -142,104 +140,90 @@ def _preset_measurements(ds: int):
 # figure commands
 # ---------------------------------------------------------------------------
 
-def cmd_fig1a(args) -> int:
-    ratios = args.phi_over_gamma
-    grid = TimeGrid.regular(args.tmax, args.step)
+def _check_closed_form(got, want, label: str) -> None:
+    """Raise unless ``got`` lies within 1e-8 of its closed form ``want``;
+    NaN fails."""
+    err = np.abs(got - want).max()
+    if not err <= 1e-8:
+        raise NumericalDriftError(f"{label} deviates from the closed form "
+                                  f"by {err:.2e}")
 
-    def column(ratio):
+
+def _ratio_figure(args, flag: str, names, columns) -> int:
+    """CSV of time and, for each ratio of the list flag ``flag``, the
+    columns ``columns(ratio, grid)`` headed ``name(flag=ratio)`` in the
+    order of ``names``; the ``#`` line echoes the list."""
+    ratios = getattr(args, flag)
+    grid = TimeGrid.regular(args.tmax, args.step)
+    header, cols = ["t"], [grid.times]
+    for ratio in ratios:
+        header += [f"{name}({flag}={ratio:g})" for name in names]
+        cols += columns(ratio, grid)
+    _write_csv(args, header, cols, **{flag: ",".join(f"{r:g}" for r in ratios)})
+    return 0
+
+
+def cmd_fig1a(args) -> int:
+    def columns(ratio, grid):
         d_analytic = trace_distance_factor(1.0, ratio, grid.times)
         model = models.DepolarizingModel(gamma=1.0, phi=ratio)
-        up, down = _preset_pair(2)
-        trace = trace_distance_series(model, up, down, grid=grid)
-        err = np.abs(trace.values - d_analytic * trace.values[0]).max()
-        if err > 1e-8:
-            raise NumericalDriftError(
-                f"propagated trace distance deviates from the closed form "
-                f"by {err:.2e} at phi/gamma={ratio:g}"
-            )
+        trace = trace_distance_series(model, *_preset_pair(2), grid=grid)
+        _check_closed_form(trace.values, d_analytic * trace.values[0],
+                           f"propagated trace distance at phi/gamma={ratio:g}")
         if trace.has_revival():
             raise NumericalDriftError(
                 f"unexpected revival for static rates at phi/gamma={ratio:g}"
             )
-        return d_analytic
+        return [d_analytic]
 
-    cols = [column(ratio) for ratio in ratios]
-    header = ["t"] + [f"d(phi_over_gamma={r:g})" for r in ratios]
-    _write_csv(args, header, [grid.times, *cols],
-               phi_over_gamma=args_list(ratios))
-    return 0
-
-
-def args_list(values) -> str:
-    return ",".join(f"{v:g}" for v in values)
+    return _ratio_figure(args, "phi_over_gamma", ["d"], columns)
 
 
 def cmd_fig1b(args) -> int:
-    ratios = args.phi_over_gamma
-    grid = TimeGrid.regular(args.tmax, args.step)
     rho0s, specs = reference_measurements()
 
-    def column(ratio):
+    def columns(ratio, grid):
         model = models.DepolarizingModel(gamma=1.0, phi=ratio)
         res = cpf_equal_times(model, rho0s, None, specs, grid.times, scheme="d")
         cpf = res.values[0, :, 0]
         if ratio == 1.0:
-            err = np.abs(cpf - _balanced_cpf(grid.times, grid.times)).max()
-            if not err <= 1e-8:  # NaN fails
-                raise NumericalDriftError(f"phi/gamma=1 column deviates from "
-                                          f"the closed form by {err:.2e}")
-        return cpf
+            _check_closed_form(cpf, _balanced_cpf(grid.times, grid.times),
+                               "phi/gamma=1 column")
+        return [cpf]
 
-    cols = [column(ratio) for ratio in ratios]
-    header = ["t"] + [f"cpf(phi_over_gamma={r:g})" for r in ratios]
-    _write_csv(args, header, [grid.times, *cols],
-               phi_over_gamma=args_list(ratios))
-    return 0
+    return _ratio_figure(args, "phi_over_gamma", ["cpf"], columns)
 
 
 def cmd_fig2(args) -> int:
-    ratios = args.omega_over_gamma
-    grid = TimeGrid.regular(args.tmax, args.step)
-
-    def column(ratio):
+    def columns(ratio, grid):
         w = coherent_weight_series(1.0, 1.0, ratio, grid)
-        err = np.abs(w - _driven_p4(ratio, grid.times)).max()
-        if not err <= 1e-8:  # NaN fails
-            raise NumericalDriftError(f"omega/gamma={ratio:g} column deviates "
-                                      f"from the closed form by {err:.2e}")
+        _check_closed_form(w, _driven_p4(ratio, grid.times),
+                           f"omega/gamma={ratio:g} column")
         d = np.abs(4.0 * w - 1.0) / 3.0
-        return d, revival_flags(d)
+        return [d, revival_flags(d)]
 
-    results = [column(ratio) for ratio in ratios]
-    header = ["t"]
-    cols = []
-    for r, (d, rev) in zip(ratios, results):
-        header += [f"d(omega_over_gamma={r:g})", f"revival(omega_over_gamma={r:g})"]
-        cols += [d, rev]
-    _write_csv(args, header, [grid.times, *cols],
-               omega_over_gamma=args_list(ratios))
-    return 0
+    return _ratio_figure(args, "omega_over_gamma", ["d", "revival"], columns)
 
 
 # ---------------------------------------------------------------------------
 # sweep commands
 # ---------------------------------------------------------------------------
 
-def _series_grid(model, args) -> TimeGrid:
-    """The output grid of ``td`` and ``bound``.  Its step is the RK4 substep
-    of a time-dependent model, so there it is at most the model's default,
-    as ``cpf`` integrates; the output times stay those of ``--step``."""
+def _preset_series(args, with_bound_terms: bool = False):
+    """The witness series of the preset pair on the resolved model, output
+    at the times of ``--tmax`` and ``--step``.  A time-dependent model is
+    integrated at an RK4 substep of at most its default, as ``cpf``
+    integrates."""
+    model = _resolve_model(args)
     grid = TimeGrid.regular(args.tmax, args.step)
-    if not models.is_time_dependent(model):
-        return grid
-    return TimeGrid(grid.times, min(grid.step, default_rk4_step(model)))
+    if models.is_time_dependent(model):
+        grid = TimeGrid(grid.times, min(grid.step, default_rk4_step(model)))
+    return trace_distance_series(model, *_preset_pair(model.ds), grid=grid,
+                                 with_bound_terms=with_bound_terms)
 
 
 def cmd_td(args) -> int:
-    model = _resolve_model(args)
-    grid = _series_grid(model, args)
-    up, down = _preset_pair(model.ds)
-    trace = trace_distance_series(model, up, down, grid=grid)
+    trace = _preset_series(args)
     header = ["t", "trace_distance", "revival"]
     _write_csv(args, header, [trace.times, trace.values, trace.revivals],
                model=args.model or "depolarizing")
@@ -249,11 +233,7 @@ def cmd_td(args) -> int:
 def cmd_bound(args) -> int:
     """Bound terms per grid point; the last row has no next point, so its
     ``increment_next`` and ``slack_next`` are NaN (the only NaN cells)."""
-    model = _resolve_model(args)
-    grid = _series_grid(model, args)
-    up, down = _preset_pair(model.ds)
-    trace = trace_distance_series(model, up, down, grid=grid,
-                                  with_bound_terms=True)
+    trace = _preset_series(args, with_bound_terms=True)
     header = ["t", "trace_distance", "env_term", "corr_rho", "corr_sigma",
               "increment_next", "slack_next"]
     inc = np.append(np.diff(trace.values), np.nan)
@@ -314,15 +294,13 @@ def _validate_checks(seed: int):
         checks.append((f"cpf closed form t={t:g} tau={tau:g}", err < 1e-6,
                        f"max err {err:.2e}"))
 
+    # each constructor takes (rng, ds, environment dimension)
+    bystanders = (models.random_classical_mixture, models.random_stochastic_env,
+                  models.random_quantum_bystander)
     worst_r, worst_d = 0.0, np.inf
     for _ in range(6):
-        cls = rng.integers(3)
-        if cls == 0:
-            m = models.random_classical_mixture(rng, nc=int(rng.integers(2, 4)))
-        elif cls == 1:
-            m = models.random_stochastic_env(rng, nc=int(rng.integers(2, 4)))
-        else:
-            m = models.random_quantum_bystander(rng, de=int(rng.integers(2, 4)))
+        make = bystanders[rng.integers(len(bystanders))]
+        m = make(rng, 2, int(rng.integers(2, 4)))
         spec = random_measurement(rng)
         pol = random_policy(rng, 2, 2)
         prep = random_density_matrix(rng, 2, pure=True)
@@ -445,10 +423,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvariantViolation as exc:
-        print(f"qflow: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # missing, unreadable or unwritable file
+    # OSError: a missing, unreadable or unwritable file
+    except (InvariantViolation, OSError) as exc:
         print(f"qflow: configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalDriftError as exc:

@@ -698,18 +698,8 @@ def stationary_populations_vector(gamma: float, phi: float) -> np.ndarray:
     return np.array([pk, pk, pk, p4])
 
 
-_PAULI_PRODUCT = np.zeros((4, 4), dtype=int)
-for _k in range(1, 5):
-    for _m in range(1, 5):
-        if _k == 4:
-            _r = _m
-        elif _m == 4:
-            _r = _k
-        elif _k == _m:
-            _r = 4
-        else:
-            _r = 6 - _k - _m
-        _PAULI_PRODUCT[_k - 1, _m - 1] = _r - 1
+# with x, y, z, 1 as 0-3, sigma_k sigma_m is sigma_r, r = 3 ^ k ^ m, times a phase
+_PAULI_PRODUCT = 3 ^ np.arange(4)[:, None] ^ np.arange(4)
 
 
 def _coefficient_matrix(gamma: float, phi: float) -> np.ndarray:

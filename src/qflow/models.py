@@ -83,6 +83,14 @@ def _check_finite(a: np.ndarray, label: str) -> None:
         raise InvariantViolation(f"{label} has non-finite entries")
 
 
+def _check_dim(what: str, found: int, part: str, dim: int) -> None:
+    """Raise unless ``what`` acts on the ``dim`` levels of the model's
+    ``part``, naming both dimensions."""
+    if found != dim:
+        raise InvariantViolation(f"{what} has dimension {found}, but the "
+                                 f"model's {part} has dimension {dim}")
+
+
 def _check_system_dim(ds: int) -> None:
     """One level has no pair of preparations and no traceless operator."""
     if ds < 2:
@@ -227,6 +235,7 @@ class QuantumBystanderModel:
                 raise InvariantViolation("collision operator must act on the environment")
             if c.kraus[0].shape != (self.ds, self.ds):
                 raise InvariantViolation("collision Kraus must act on the system")
+        _check_dim("environment state", len(self.env0), "environment", self.env_dim)
 
     @property
     def ds(self) -> int:
@@ -262,6 +271,7 @@ class UnitaryModel:
         _check_system_dim(self.ds)
         if self.hi.shape != (self.ds * self.env_dim,) * 2:
             raise InvariantViolation("interaction must act on the joint space")
+        _check_dim("environment state", len(self.env0), "environment", self.env_dim)
 
     @property
     def ds(self) -> int:
@@ -300,9 +310,9 @@ class DepolarizingModel:
         check_rate_pair(self.gamma, self.phi)
         check_rate(self.omega, "drive frequency")
         pops = self.populations0
-        if pops is None:
-            gp = self.gamma + self.phi
-            pops = [self.gamma / (3 * gp)] * 3 + [self.phi / gp]
+        if pops is None:  # in double precision, whatever the rates' type
+            gamma, phi = float(self.gamma), float(self.phi)
+            pops = [gamma / (3 * (gamma + phi))] * 3 + [phi / (gamma + phi)]
         pops = _freeze_real(pops)
         object.__setattr__(self, "populations0", pops)
         check_probabilities(pops, "populations0")
@@ -535,7 +545,8 @@ def default_env_state(model: BipartiteModel) -> np.ndarray:
 def initial_state(model: BipartiteModel, rho0s: np.ndarray, env0=None):
     """Separable initial bipartite state in the model representation; a
     classical environment takes populations or a diagonal density matrix."""
-    validate_density_matrix(rho0s)
+    rho0s = validate_density_matrix(rho0s)
+    _check_dim("system state", len(rho0s), "system", model.ds)
     env0 = np.asarray(default_env_state(model) if env0 is None else env0)
     if uses_stacked(model):
         if env0.ndim == 2:
@@ -555,8 +566,9 @@ def initial_state(model: BipartiteModel, rho0s: np.ndarray, env0=None):
         check_probabilities(pops, "environment populations")
         env0 = np.diag(pops)
     else:
-        env0 = validate_density_matrix(np.asarray(env0, dtype=complex))
-    return product_with_env(model, np.asarray(rho0s, dtype=complex), env0)
+        env0 = validate_density_matrix(env0)
+        _check_dim("environment state", len(env0), "environment", model.env_dim)
+    return product_with_env(model, rho0s, env0)
 
 
 def _state_shape(model: BipartiteModel) -> tuple:
@@ -873,13 +885,31 @@ def commuting_interaction_preset() -> UnitaryModel:
 # model definition files ("qflow-model/1")
 # ---------------------------------------------------------------------------
 
+def _number_from_json(x) -> float:
+    # type, not isinstance: true and false are ints too
+    if type(x) not in (int, float):
+        raise InvariantViolation(f"model-file numbers must be JSON numbers, "
+                                 f"got {x!r}")
+    return float(x)
+
+
+def _numbers_from_json(data) -> np.ndarray:
+    """Float array of nested lists of JSON numbers; a list where a number
+    belongs is left to the shape checks."""
+    entries = np.asarray(data, dtype=object)
+    for x in entries.flat:
+        if type(x) not in (float, list):  # an int, or no number at all
+            _number_from_json(x)
+    return entries.astype(float)
+
+
 def _matrix_to_json(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 def _matrix_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = _numbers_from_json(data)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise InvariantViolation("matrices must be nested [re, im] pairs")
     # the model checks reject non-finite entries with one message
@@ -921,19 +951,19 @@ def _modulation_from_json(spec):
         return None
     if spec.get("type") != "sine":
         raise InvariantViolation(f"unknown modulation type {spec.get('type')!r}")
-    return sine_modulation(float(spec["amplitude"]), float(spec["frequency"]))
+    return sine_modulation(_number_from_json(spec["amplitude"]),
+                           _number_from_json(spec["frequency"]))
 
 
 # A field is (argument, key, (write, read)), plus the value taken when the key
 # is absent if it may be; the argument also names the attribute that holds it,
 # and a value of None is not written.
-_NUMBER = (lambda x: x, float)
+_NUMBER = (lambda x: np.asarray(x).item(), _number_from_json)
 _LABEL = (int, _label_from_json)
 _MATRIX = (_matrix_to_json, _matrix_from_json)
 _MATRICES = (lambda ms: [_matrix_to_json(m) for m in ms],
              lambda data: tuple(_matrix_from_json(m) for m in data))
-_POPULATIONS = (lambda p: [float(x) for x in p],
-                lambda data: np.asarray(data, dtype=float))
+_POPULATIONS = (lambda p: [float(x) for x in p], _numbers_from_json)
 _MODULATION = (_modulation_to_json, _modulation_from_json)
 
 

@@ -52,7 +52,6 @@ PAULI_CHANGE = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
 PAULI_CHANGE.setflags(write=False)
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 
 def dag(a: np.ndarray) -> np.ndarray:

@@ -345,7 +345,10 @@ def _cpf_tensors(model, rho0s, env0, specs, ts, taus, scheme, policy,
     Each readout is weighted by the policy (random scheme) or by one
     (deterministic scheme).
     """
-    validate_density_matrix(rho0s)
+    rho0s = validate_density_matrix(rho0s)
+    models._check_dim("preparation", len(rho0s), "system", model.ds)
+    for spec in specs:
+        models._check_dim("measurement", len(spec.vectors), "system", model.ds)
     spec_x, spec_y, spec_z = specs
     nx, ny, nz = spec_x.n_outcomes, spec_y.n_outcomes, spec_z.n_outcomes
     if scheme == "d":

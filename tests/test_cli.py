@@ -47,6 +47,12 @@ def run_here(argv):
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
+def _json_matrix(m):
+    """A matrix as a model document spells it, nested [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
 def read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         comment = fh.readline()
@@ -120,6 +126,26 @@ class TestFigureCommands:
         assert not out.exists()
         monkeypatch.setattr(cli, "trace_distance_series", series)
         assert run(argv) == 0
+
+    def test_fig1a_nan_fails_the_closed_form(self, tmp_path, monkeypatch, capsys):
+        # a NaN deviation is no agreement with the closed form
+        series = cli.trace_distance_series
+
+        def poisoned(model, *args, **kwargs):
+            res = series(model, *args, **kwargs)
+            values = res.values.copy()
+            values[3] = np.nan
+            return dataclasses.replace(res, values=values)
+
+        monkeypatch.setattr(cli, "trace_distance_series", poisoned)
+        out = tmp_path / "fig1a.csv"
+        assert run(["fig1a", "--tmax", "1", "--phi-over-gamma", "2",
+                    "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert "closed form by nan" in captured.err
+        assert "phi/gamma=2" in captured.err
+        assert not out.exists()
 
     def test_fig1a_unexpected_revival(self, tmp_path, monkeypatch, capsys):
         # a rise that the closed form shares passes its check, but a static
@@ -463,13 +489,97 @@ class TestExitCodes:
             assert code == 2
             assert len(err.splitlines()) == 1 and named in err
 
+    @pytest.mark.parametrize("make, edit, message", [
+        (lambda rng: models.random_stochastic_env(rng),
+         lambda d: d["parameters"]["jumps"][0].update(
+             dst=d["parameters"]["jumps"][0]["src"]),
+         "jump must change the environment label"),
+        (lambda rng: models.random_stochastic_env(rng),
+         lambda d: d.update(initial_env=[0.5, 0.25, 0.25]),
+         "one initial population per label required"),
+        (lambda rng: models.random_stochastic_env(rng),
+         lambda d: d["parameters"]["jumps"][0].update(dst=5),
+         "jump label out of range"),
+        (lambda rng: models.random_stochastic_env(rng),
+         lambda d: d["parameters"]["jumps"][0].update(
+             kraus=[_json_matrix(np.eye(3))]),
+         "jump Kraus must act on the system"),
+        (lambda rng: models.random_quantum_bystander(rng),
+         lambda d: d["parameters"]["collisions"][0].update(
+             op=_json_matrix(np.eye(3))),
+         "collision operator must act on the environment"),
+        (lambda rng: models.random_quantum_bystander(rng),
+         lambda d: d["parameters"]["collisions"][0].update(
+             kraus=[_json_matrix(np.eye(3))]),
+         "collision Kraus must act on the system"),
+        (lambda rng: models.random_unitary_model(rng),
+         lambda d: d["parameters"].update(h_interaction=_json_matrix(np.eye(2))),
+         "interaction must act on the joint space"),
+        (lambda rng: models.DepolarizingModel(gamma=1.0, phi=1.0),
+         lambda d: d.update(initial_env=[0.5, 0.5]),
+         "populations0 must hold 4 weights"),
+        (lambda rng: models.random_unitary_model(rng),
+         lambda d: d.update({"class": "nonesuch"}),
+         "unknown model class 'nonesuch'"),
+    ], ids=["jump-to-itself", "population-count", "label-range", "jump-kraus",
+            "collision-op", "collision-kraus", "interaction",
+            "depolarizing-populations", "class"])
+    def test_model_file_shape_checks_are_config_errors(self, make, edit, message,
+                                                       tmp_path, capsys):
+        doc = models.model_to_dict(make(np.random.default_rng(5)))
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self._assert_config_error(run(["td", "--model", str(path)]), capsys,
+                                  message)
+
+    @pytest.mark.parametrize("command", [["td"], ["bound"], ["cpf"],
+                                         ["check-bystander"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("make", [
+        lambda rng: models.random_unitary_model(rng),
+        lambda rng: models.random_quantum_bystander(rng),
+    ], ids=["unitary", "bystander"])
+    def test_environment_state_of_the_wrong_dimension(self, command, make,
+                                                      tmp_path, capsys):
+        # a valid 3 x 3 density matrix where the environment has two levels
+        doc = models.model_to_dict(make(np.random.default_rng(5)))
+        doc["initial_env"] = _json_matrix(np.eye(3) / 3)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self._assert_config_error(
+            run(command + ["--model", str(path)]), capsys,
+            "environment state has dimension 3, but the model's environment "
+            "has dimension 2")
+
+    @pytest.mark.parametrize("make, edit, value", [
+        (lambda: models.DepolarizingModel(gamma=1.0, phi=1.0, omega=0.5),
+         lambda doc, v: doc["parameters"].update(omega=v), True),
+        (lambda: models.DepolarizingModel(gamma=1.0, phi=1.0),
+         lambda doc, v: doc["parameters"].update(phi=v), "0.5"),
+        (lambda: models.DepolarizingModel(gamma=1.0, phi=1.0),
+         lambda doc, v: doc.update(initial_env=[v, False, False, False]), True),
+        (models.exchange_preset,
+         lambda doc, v: doc["parameters"]["h_env"][0][0].__setitem__(0, v), "0.5"),
+    ], ids=["omega-true", "phi-string", "populations-bool", "matrix-string"])
+    def test_model_file_numbers_are_json_numbers(self, make, edit, value,
+                                                 tmp_path, capsys):
+        doc = models.model_to_dict(make())
+        edit(doc, value)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self._assert_config_error(
+            run(["td", "--model", str(path)]), capsys,
+            f"model-file numbers must be JSON numbers, got {value!r}")
+
     @staticmethod
-    def _assert_config_error(code, capsys):
+    def _assert_config_error(code, capsys, message=""):
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("qflow: configuration error:")
+        assert message in captured.err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", [["check-bystander"], ["td"], ["cpf"]],

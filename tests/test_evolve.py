@@ -1116,6 +1116,13 @@ class TestClosedForms:
 
 
 class TestChannelCoefficients:
+    def test_pauli_product_table(self):
+        # sigma_k sigma_m is sigma_r times a phase, labels x, y, z, 1 as 0-3
+        for k, sk in enumerate(PAULI_OPS):
+            for m, sm in enumerate(PAULI_OPS):
+                overlaps = [abs(np.trace(sr.conj().T @ sk @ sm)) for sr in PAULI_OPS]
+                assert np.allclose(overlaps, np.eye(4)[evolve._PAULI_PRODUCT[k, m]] * 2)
+
     def test_initial_data(self):
         pops = np.array([0.1, 0.2, 0.3, 0.4])
         coeffs = solve_channel_coefficients(1.0, 1.0, pops,

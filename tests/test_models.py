@@ -703,17 +703,65 @@ class TestModelFiles:
         assert model_to_dict(back) == model_to_dict(m)
 
     def test_failed_save_leaves_the_file_alone(self, tmp_path):
-        # a rate JSON cannot spell fails before the file is opened
+        # a modulation the format cannot spell fails before the file is opened
+        m = DepolarizingModel(gamma=1.0, phi=1.0, modulation=lambda t: 0.1 * t)
+        path = tmp_path / "model.json"
+        path.write_text("previous\n", encoding="utf-8")
+        with pytest.raises(InvariantViolation, match="only sine_modulation"):
+            models.save_model(m, path)
+        assert path.read_text(encoding="utf-8") == "previous\n"
+
+    def test_numpy_scalar_rates_save_as_numbers(self, tmp_path):
+        # numpy scalars save as the Python numbers they hold, so an integer
+        # rate still writes as an integer
+        path = tmp_path / "model.json"
+        models.save_model(DepolarizingModel(gamma=1, phi=np.int64(2)), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["parameters"] == {"gamma": 1, "phi": 2, "omega": 0.0}
+        assert type(doc["parameters"]["phi"]) is int
         m = random_stochastic_env(np.random.default_rng(3), nc=2)
         j = m.jumps[0]
         jumps = (EnvJump(src=j.src, dst=j.dst, rate=np.float32(0.5),
                          kraus=j.kraus),) + m.jumps[1:]
-        path = tmp_path / "model.json"
-        path.write_text("previous\n", encoding="utf-8")
-        with pytest.raises(TypeError):
-            models.save_model(StochasticEnvModel(lindblads=m.lindblads, jumps=jumps,
-                                                 populations0=m.populations0), path)
-        assert path.read_text(encoding="utf-8") == "previous\n"
+        models.save_model(StochasticEnvModel(lindblads=m.lindblads, jumps=jumps,
+                                             populations0=m.populations0), path)
+        assert models.load_model(path).jumps[0].rate == 0.5
+
+    def test_single_precision_rates_take_double_populations(self):
+        m = DepolarizingModel(gamma=np.float32(0.5), phi=1.0)
+        assert type(m.gamma) is np.float32  # the rate is kept as given
+        assert np.array_equal(m.populations0,
+                              DepolarizingModel(gamma=0.5, phi=1.0).populations0)
+
+    @pytest.mark.parametrize("make, path, value", [
+        (lambda: DepolarizingModel(gamma=1.0, phi=1.0),
+         ("parameters", "omega"), True),
+        (lambda: DepolarizingModel(gamma=1.0, phi=1.0),
+         ("parameters", "phi"), "0.5"),
+        (lambda: DepolarizingModel(gamma=1.0, phi=1.0),
+         ("parameters", "gamma"), None),
+        (lambda: DepolarizingModel(gamma=1.0, phi=1.0,
+                                   modulation=sine_modulation(0.3, 0.5)),
+         ("parameters", "modulation", "amplitude"), "0.3"),
+        (lambda: DepolarizingModel(gamma=1.0, phi=1.0), ("initial_env", 0), True),
+        (lambda: DepolarizingModel(gamma=1.0, phi=1.0), ("initial_env", 3), "0.25"),
+        (lambda: random_stochastic_env(np.random.default_rng(3)),
+         ("parameters", "jumps", 0, "rate"), False),
+        (lambda: random_stochastic_env(np.random.default_rng(3)),
+         ("parameters", "generators", 0, 1, 1, 0), "0.0"),
+        (exchange_preset, ("parameters", "h_env", 0, 0, 1), True),
+    ], ids=["omega-true", "phi-string", "gamma-null", "amplitude-string",
+            "population-true", "population-string", "rate-false",
+            "matrix-string", "matrix-true"])
+    def test_every_number_must_be_a_json_number(self, make, path, value):
+        doc = model_to_dict(make())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(InvariantViolation,
+                           match=f"numbers must be JSON numbers, got {value!r}"):
+            model_from_dict(doc)
 
     @pytest.mark.parametrize("header", [{"de_or_nc": True}, {"ds": "2"}])
     def test_header_must_hold_the_model_dimensions(self, header):
@@ -753,6 +801,20 @@ class TestModelFiles:
 
 
 class TestInvariantEnforcement:
+    @pytest.mark.parametrize("make", [
+        lambda env0: UnitaryModel(hs=PAULI_OPS[2], he=PAULI_OPS[0],
+                                  hi=kron(PAULI_OPS[0], PAULI_OPS[0]), env0=env0),
+        lambda env0: QuantumBystanderModel(ls=np.zeros((4, 4)), le=np.zeros((4, 4)),
+                                           collisions=(), env0=env0),
+    ], ids=["unitary", "bystander"])
+    def test_environment_state_must_match_the_environment(self, make):
+        env0 = random_density_matrix(np.random.default_rng(2), 3)
+        with pytest.raises(InvariantViolation, match="environment state has "
+                           "dimension 3, but the model's environment has "
+                           "dimension 2"):
+            make(env0)
+        make(env0[:2, :2] / np.trace(env0[:2, :2]))
+
     def test_mixture_weights_must_normalize(self):
         rng = np.random.default_rng(1)
         g = random_lindblad_generator(rng, 2)

@@ -423,6 +423,39 @@ class TestGridEvaluators:
         with pytest.raises(InvariantViolation):
             call(m, rho0s, specs)
 
+    @pytest.mark.parametrize("make", [
+        lambda: DepolarizingModel(gamma=1.0, phi=1.0),
+        lambda: DepolarizingModel(gamma=1.0, phi=1.0, omega=0.5),
+        exchange_preset,
+    ], ids=["stacked", "driven", "unitary"])
+    def test_states_of_the_wrong_dimension_name_both(self, make):
+        # a qutrit state or measurement on a qubit model
+        m, grid = make(), TimeGrid.regular(0.5, 0.25)
+        rho0s, specs = reference_measurements()
+        qutrit = np.eye(3, dtype=complex) / 3
+        with pytest.raises(InvariantViolation, match="system state has "
+                           "dimension 3, but the model's system has dimension 2"):
+            trace_distance_series(m, qutrit, rho0s, grid=grid)
+        with pytest.raises(InvariantViolation, match="preparation has "
+                           "dimension 3, but the model's system has dimension 2"):
+            cpf_grid(m, qutrit, None, specs, [0.5], [0.5])
+        z3 = MeasurementSpec(vectors=np.eye(3), outcomes=(1.0, 0.0, -1.0))
+        for i in range(3):
+            wrong = specs[:i] + (z3,) + specs[i + 1:]
+            with pytest.raises(InvariantViolation, match="measurement has "
+                               "dimension 3, but the model's system has "
+                               "dimension 2"):
+                cpf_grid(m, rho0s, None, wrong, [0.5], [0.5])
+
+    def test_full_environment_state_of_the_wrong_dimension(self):
+        m = exchange_preset()
+        rho0s, _ = reference_measurements()
+        with pytest.raises(InvariantViolation, match="environment state has "
+                           "dimension 3, but the model's environment has "
+                           "dimension 2"):
+            trace_distance_series(m, rho0s, projector(np.array([0, 1.0])),
+                                  np.eye(3) / 3, grid=TimeGrid.regular(0.5, 0.25))
+
     def test_modulated_model_uses_anchored_propagation(self):
         b = models.sine_modulation(0.3, 0.2)  # fast enough to matter
         m = DepolarizingModel(gamma=1.0, phi=1.0, modulation=b)
